@@ -1,9 +1,10 @@
 #include "src/workloads/bfs.h"
 
-#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "src/common/rng.h"
+#include "src/workloads/reference_memo.h"
 
 namespace gg::workloads {
 
@@ -14,23 +15,28 @@ constexpr int kInf = std::numeric_limits<int>::max() / 2;
 Bfs::Bfs(BfsConfig config) : config_(config) {
   Rng rng(config_.seed);
   const std::size_t n = config_.nodes;
-  // Random out-edges, then transpose into an in-edge CSR.  A chain edge
-  // v-1 -> v guarantees connectivity so distances are finite.
-  std::vector<std::vector<std::size_t>> in_adj(n);
-  for (std::size_t v = 1; v < n; ++v) in_adj[v].push_back(v - 1);
+  // Random out-edges, transposed into an in-edge CSR by counting sort.  A
+  // chain edge v-1 -> v guarantees connectivity so distances are finite;
+  // each vertex lists its chain edge first, then its random in-edges in
+  // draw order.
   const std::size_t extra_edges = n * (config_.avg_degree - 1);
+  std::vector<std::pair<std::size_t, std::size_t>> extra;  // (u, v), draw order
+  extra.reserve(extra_edges);
+  row_offsets_.assign(n + 1, 0);
+  for (std::size_t v = 1; v < n; ++v) ++row_offsets_[v + 1];
   for (std::size_t e = 0; e < extra_edges; ++e) {
     const std::size_t u = rng.uniform_int(n);
     const std::size_t v = rng.uniform_int(n);
-    if (u != v) in_adj[v].push_back(u);
+    if (u != v) {
+      extra.emplace_back(u, v);
+      ++row_offsets_[v + 1];
+    }
   }
-  row_offsets_.resize(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) row_offsets_[v + 1] = row_offsets_[v] + in_adj[v].size();
+  for (std::size_t v = 0; v < n; ++v) row_offsets_[v + 1] += row_offsets_[v];
   in_neighbors_.resize(row_offsets_[n]);
-  for (std::size_t v = 0; v < n; ++v) {
-    std::copy(in_adj[v].begin(), in_adj[v].end(),
-              in_neighbors_.begin() + static_cast<std::ptrdiff_t>(row_offsets_[v]));
-  }
+  std::vector<std::size_t> next(row_offsets_.begin(), row_offsets_.end() - 1);
+  for (std::size_t v = 1; v < n; ++v) in_neighbors_[next[v]++] = v - 1;
+  for (const auto& [u, v] : extra) in_neighbors_[next[v]++] = u;
 }
 
 IntensityProfile Bfs::profile(std::size_t /*iter*/) const { return config_.profile; }
@@ -71,8 +77,7 @@ void Bfs::teardown(cudalite::Runtime& rt) {
   ran_ = true;
 }
 
-bool Bfs::verify() const {
-  if (!ran_) return false;
+Bfs::Reference Bfs::reference() const {
   // Serial reference: identical rounds of relaxation.
   const std::size_t n = config_.nodes;
   std::vector<int> in(n, kInf);
@@ -89,7 +94,14 @@ bool Bfs::verify() const {
     }
     std::swap(in, out);
   }
-  return result_ == in;
+  return in;
+}
+
+bool Bfs::verify() const {
+  if (!ran_) return false;
+  const auto ref =
+      reference_memo<Bfs>().get_or_compute(config_, [this] { return reference(); });
+  return result_ == *ref;
 }
 
 }  // namespace gg::workloads

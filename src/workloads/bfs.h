@@ -27,10 +27,16 @@ struct BfsConfig {
   std::uint64_t seed{11};
   /// Table II class: high core, high memory; 65536 sim units/iteration.
   IntensityProfile profile{0.88, 0.86, 2.2e-5, 65536.0, 12.0, 0.85};
+
+  auto operator<=>(const BfsConfig&) const = default;
 };
 
 class Bfs final : public ProfiledWorkload {
  public:
+  using Config = BfsConfig;
+  /// Distances after the serial rounds of relaxation.
+  using Reference = std::vector<int>;
+
   explicit Bfs(BfsConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "bfs"; }
@@ -54,6 +60,8 @@ class Bfs final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  [[nodiscard]] Reference reference() const;
+
   BfsConfig config_;
   // CSR of in-edges.
   std::vector<std::size_t> row_offsets_;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/rng.h"
+#include "src/workloads/reference_memo.h"
 
 namespace gg::workloads {
 
@@ -106,17 +107,23 @@ void Hotspot::teardown(cudalite::Runtime& rt) {
   ran_ = true;
 }
 
-bool Hotspot::verify() const {
-  if (!ran_) return false;
+Hotspot::Reference Hotspot::reference() const {
   std::vector<double> in = initial_temp_;
   std::vector<double> out(in.size(), 0.0);
   for (std::size_t it = 0; it < config_.iterations; ++it) {
     reference_step(in, out, power_, config_.rows, config_.cols);
     std::swap(in, out);
   }
-  if (result_.size() != in.size()) return false;
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    if (std::fabs(result_[i] - in[i]) > 1e-9) return false;
+  return in;
+}
+
+bool Hotspot::verify() const {
+  if (!ran_) return false;
+  const auto ref =
+      reference_memo<Hotspot>().get_or_compute(config_, [this] { return reference(); });
+  if (result_.size() != ref->size()) return false;
+  for (std::size_t i = 0; i < ref->size(); ++i) {
+    if (std::fabs(result_[i] - (*ref)[i]) > 1e-9) return false;
   }
   return true;
 }

@@ -27,10 +27,16 @@ struct HotspotConfig {
   /// Table II class: medium core, low memory; 2048 sim rows per iteration,
   /// unit_time set so one iteration spans ~123 s (>= 40x scaling interval).
   IntensityProfile profile{0.50, 0.22, 6.0e-2, 2048.0, 1.0, 0.85};
+
+  auto operator<=>(const HotspotConfig&) const = default;
 };
 
 class Hotspot final : public ProfiledWorkload {
  public:
+  using Config = HotspotConfig;
+  /// Final temperature grid of the serial solver (rows x cols).
+  using Reference = std::vector<double>;
+
   explicit Hotspot(HotspotConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "hotspot"; }
@@ -58,6 +64,7 @@ class Hotspot final : public ProfiledWorkload {
   static void reference_step(const std::vector<double>& in, std::vector<double>& out,
                              const std::vector<double>& power, std::size_t rows,
                              std::size_t cols);
+  [[nodiscard]] Reference reference() const;
 
   HotspotConfig config_;
   std::vector<double> temp_in_;

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "src/common/rng.h"
+#include "src/workloads/reference_memo.h"
 
 namespace gg::workloads {
 
@@ -142,20 +143,25 @@ void Kmeans::teardown(cudalite::Runtime& rt) {
   ran_ = true;
 }
 
+Kmeans::Reference Kmeans::reference() const {
+  std::vector<double> centroids = initial_centroids_;
+  std::vector<int> assignments(config_.points, 0);
+  for (std::size_t it = 0; it < config_.iterations; ++it) {
+    reference_step(host_points_, centroids, assignments, config_.points, config_.dims,
+                   config_.clusters);
+  }
+  return centroids;
+}
+
 bool Kmeans::verify() const {
   if (!ran_) return false;
-  // Scalar reference: rerun the full algorithm serially from the stored
-  // initial state; the divided execution must match bit-for-bit up to
+  // The divided execution must match the serial reference bit-for-bit up to
   // summation order (same order here), so compare with a tight tolerance.
-  std::vector<double> ref_centroids = initial_centroids_;
-  std::vector<int> ref_assignments(config_.points, 0);
-  for (std::size_t it = 0; it < config_.iterations; ++it) {
-    reference_step(host_points_, ref_centroids, ref_assignments, config_.points,
-                   config_.dims, config_.clusters);
-  }
-  if (result_centroids_.size() != ref_centroids.size()) return false;
-  for (std::size_t i = 0; i < ref_centroids.size(); ++i) {
-    if (std::fabs(result_centroids_[i] - ref_centroids[i]) > 1e-9) return false;
+  const auto ref =
+      reference_memo<Kmeans>().get_or_compute(config_, [this] { return reference(); });
+  if (result_centroids_.size() != ref->size()) return false;
+  for (std::size_t i = 0; i < ref->size(); ++i) {
+    if (std::fabs(result_centroids_[i] - (*ref)[i]) > 1e-9) return false;
   }
   return true;
 }

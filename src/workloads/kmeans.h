@@ -29,10 +29,16 @@ struct KmeansConfig {
   /// so one iteration spans ~124 s, keeping the division interval >= 40x
   /// the 3 s scaling interval (Section IV).
   IntensityProfile profile{0.58, 0.25, 1.25e-4, 988040.0, 6.0, 0.85};
+
+  auto operator<=>(const KmeansConfig&) const = default;
 };
 
 class Kmeans final : public ProfiledWorkload {
  public:
+  using Config = KmeansConfig;
+  /// Final centroids of the serial run (K x D).
+  using Reference = std::vector<double>;
+
   explicit Kmeans(KmeansConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "kmeans"; }
@@ -58,10 +64,12 @@ class Kmeans final : public ProfiledWorkload {
 
  private:
   void assign_range(const double* points, std::size_t begin, std::size_t end);
+  /// Serial rerun of the whole algorithm from the initial state.
+  [[nodiscard]] Reference reference() const;
 
   KmeansConfig config_;
   std::vector<double> host_points_;       // N x D row-major
-  std::vector<double> initial_centroids_; // K x D, for the verify reference
+  std::vector<double> initial_centroids_; // K x D, for the reference
   std::vector<double> centroids_;         // K x D, current
   std::vector<int> assignments_;          // N
   cudalite::DeviceBuffer<double> dev_points_;

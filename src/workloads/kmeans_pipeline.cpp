@@ -7,6 +7,7 @@
 #include "src/common/annotations.h"
 #include "src/common/rng.h"
 #include "src/sim/fault.h"
+#include "src/workloads/reference_memo.h"
 
 namespace gg::workloads {
 
@@ -260,8 +261,7 @@ void KmeansPipeline::teardown(cudalite::Runtime& rt) {
   ran_ = true;
 }
 
-bool KmeansPipeline::verify() const {
-  if (!ran_) return false;
+KmeansPipeline::Reference KmeansPipeline::reference() const {
   // Scalar reference mirroring the chunked execution exactly: per-chunk
   // partial sums merged in chunk order (floating-point summation grouping
   // matters, so the reference groups identically).
@@ -303,9 +303,16 @@ bool KmeansPipeline::verify() const {
       }
     }
   }
-  if (result_centroids_.size() != ref.size()) return false;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    if (std::fabs(result_centroids_[i] - ref[i]) > 1e-9) return false;
+  return ref;
+}
+
+bool KmeansPipeline::verify() const {
+  if (!ran_) return false;
+  const auto ref = reference_memo<KmeansPipeline>().get_or_compute(
+      config_, [this] { return reference(); });
+  if (result_centroids_.size() != ref->size()) return false;
+  for (std::size_t i = 0; i < ref->size(); ++i) {
+    if (std::fabs(result_centroids_[i] - (*ref)[i]) > 1e-9) return false;
   }
   return true;
 }

@@ -49,10 +49,16 @@ struct KmeansPipelineConfig {
   /// Assignment-kernel intensity: unit_time_s is the per-chunk kernel time
   /// at peak clocks; units_per_iteration must equal `chunks`.
   IntensityProfile profile{0.60, 0.35, 0.45, 8.0, 1.0, 0.85};
+
+  auto operator<=>(const KmeansPipelineConfig&) const = default;
 };
 
 class KmeansPipeline final : public Workload {
  public:
+  using Config = KmeansPipelineConfig;
+  /// Final centroids of the serial, chunk-grouped run (K x D).
+  using Reference = std::vector<double>;
+
   explicit KmeansPipeline(KmeansPipelineConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "kmeans_pipeline"; }
@@ -86,10 +92,11 @@ class KmeansPipeline final : public Workload {
   void reduce_chunk(std::size_t c);
   void submit_reduce(cudalite::Runtime& rt, std::size_t c,
                      const std::function<void()>& on_cpu_done);
+  [[nodiscard]] Reference reference() const;
 
   KmeansPipelineConfig config_;
   std::vector<double> host_points_;        // N x D row-major
-  std::vector<double> initial_centroids_;  // K x D, for the verify reference
+  std::vector<double> initial_centroids_;  // K x D, for the reference
   std::vector<double> centroids_;          // K x D, current
   std::vector<int> chunk_assign_;          // N, per-chunk D2H destinations
   /// Per-chunk partial reductions, merged in chunk order at the reduction

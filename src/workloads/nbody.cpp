@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/rng.h"
+#include "src/workloads/reference_memo.h"
 
 namespace gg::workloads {
 
@@ -87,8 +88,7 @@ void Nbody::teardown(cudalite::Runtime& rt) {
   ran_ = true;
 }
 
-bool Nbody::verify() const {
-  if (!ran_) return false;
+Nbody::Reference Nbody::reference() const {
   // Serial reference: identical operation order per body, so results match
   // to a tight tolerance.
   const std::size_t n = config_.bodies;
@@ -119,9 +119,16 @@ bool Nbody::verify() const {
     std::swap(pi, po);
     std::swap(vi, vo);
   }
-  if (result_pos_.size() != pi.size()) return false;
-  for (std::size_t i = 0; i < pi.size(); ++i) {
-    if (std::fabs(result_pos_[i] - pi[i]) > 1e-9) return false;
+  return pi;
+}
+
+bool Nbody::verify() const {
+  if (!ran_) return false;
+  const auto ref =
+      reference_memo<Nbody>().get_or_compute(config_, [this] { return reference(); });
+  if (result_pos_.size() != ref->size()) return false;
+  for (std::size_t i = 0; i < ref->size(); ++i) {
+    if (std::fabs(result_pos_[i] - (*ref)[i]) > 1e-9) return false;
   }
   return true;
 }

@@ -24,10 +24,16 @@ struct NbodyConfig {
   std::uint64_t seed{31};
   /// Core-bounded: high core, moderate memory; 131072 sim units/iteration.
   IntensityProfile profile{0.96, 0.38, 1.5e-5, 131072.0, 14.0, 0.9};
+
+  auto operator<=>(const NbodyConfig&) const = default;
 };
 
 class Nbody final : public ProfiledWorkload {
  public:
+  using Config = NbodyConfig;
+  /// Final positions of the serial integration (3N).
+  using Reference = std::vector<double>;
+
   explicit Nbody(NbodyConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "nbody"; }
@@ -50,6 +56,7 @@ class Nbody final : public ProfiledWorkload {
 
  private:
   void step_range(std::size_t begin, std::size_t end);
+  [[nodiscard]] Reference reference() const;
 
   NbodyConfig config_;
   // Structure-of-arrays, double buffered: x/y/z position + velocity.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/rng.h"
+#include "src/workloads/reference_memo.h"
 
 namespace gg::workloads {
 
@@ -54,8 +55,7 @@ void Pathfinder::teardown(cudalite::Runtime& rt) {
   ran_ = true;
 }
 
-bool Pathfinder::verify() const {
-  if (!ran_) return false;
+Pathfinder::Reference Pathfinder::reference() const {
   const std::size_t c = config_.cols;
   std::vector<long long> in(c), out(c);
   for (std::size_t j = 0; j < c; ++j) in[j] = weight(0, j);
@@ -69,7 +69,14 @@ bool Pathfinder::verify() const {
     }
     std::swap(in, out);
   }
-  return result_ == in;
+  return in;
+}
+
+bool Pathfinder::verify() const {
+  if (!ran_) return false;
+  const auto ref = reference_memo<Pathfinder>().get_or_compute(
+      config_, [this] { return reference(); });
+  return result_ == *ref;
 }
 
 }  // namespace gg::workloads

@@ -23,10 +23,16 @@ struct PathfinderConfig {
   std::uint64_t seed{47};
   /// Table II class: low core, low memory; 2048 sim units/iteration.
   IntensityProfile profile{0.30, 0.20, 5.0e-4, 2048.0, 4.0, 0.8};
+
+  auto operator<=>(const PathfinderConfig&) const = default;
 };
 
 class Pathfinder final : public ProfiledWorkload {
  public:
+  using Config = PathfinderConfig;
+  /// Path costs after the serial DP over every row.
+  using Reference = std::vector<long long>;
+
   explicit Pathfinder(PathfinderConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "pathfinder"; }
@@ -51,6 +57,8 @@ class Pathfinder final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  [[nodiscard]] Reference reference() const;
+
   PathfinderConfig config_;
   std::vector<long long> cost_in_;
   std::vector<long long> cost_out_;

@@ -9,6 +9,7 @@
 // and responds physically when clocks change.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 
 #include "src/cudalite/api.h"
@@ -33,6 +34,10 @@ struct IntensityProfile {
   /// Fraction of the CPU unit time that scales with CPU frequency (the rest
   /// is memory-stall/overhead time).
   double cpu_compute_fraction{0.85};
+
+  /// Memberwise, so workload configs can default their own comparison (the
+  /// reference memo's key, reference_memo.h).
+  auto operator<=>(const IntensityProfile&) const = default;
 };
 
 /// Build the GPU work estimate for `units` units of the given profile on the

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "src/workloads/reference_memo.h"
+
 namespace gg::workloads {
 
 Qrng::Qrng(QrngConfig config) : config_(config) {}
@@ -73,9 +75,9 @@ void Qrng::teardown(cudalite::Runtime& rt) {
   ran_ = !back.empty();
 }
 
-bool Qrng::verify() const {
-  if (!ran_ || sums_.size() != config_.iterations) return false;
+Qrng::Reference Qrng::reference() const {
   // Recompute every iteration's reduction serially.
+  Reference sums(config_.iterations);
   for (std::size_t it = 0; it < config_.iterations; ++it) {
     const std::uint64_t base = static_cast<std::uint64_t>(it) * config_.points +
                                config_.seed;
@@ -93,6 +95,17 @@ bool Qrng::verify() const {
         s += u;
       }
     }
+    sums[it] = s;
+  }
+  return sums;
+}
+
+bool Qrng::verify() const {
+  if (!ran_ || sums_.size() != config_.iterations) return false;
+  const auto ref =
+      reference_memo<Qrng>().get_or_compute(config_, [this] { return reference(); });
+  for (std::size_t it = 0; it < config_.iterations; ++it) {
+    const double s = (*ref)[it];
     if (std::fabs(s - sums_[it]) > 1e-9 * (1.0 + std::fabs(s))) return false;
   }
   return true;

@@ -27,10 +27,16 @@ struct QrngConfig {
   IntensityProfile light_profile{0.25, 0.12, 8.0e-8, 16777216.0, 10.0, 0.9};
   /// Phase length in iterations (alternating heavy/light).
   std::size_t phase_length{5};
+
+  auto operator<=>(const QrngConfig&) const = default;
 };
 
 class Qrng final : public ProfiledWorkload {
  public:
+  using Config = QrngConfig;
+  /// Per-iteration reductions of the serial generator.
+  using Reference = std::vector<double>;
+
   explicit Qrng(QrngConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "QG"; }
@@ -61,6 +67,8 @@ class Qrng final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  [[nodiscard]] Reference reference() const;
+
   QrngConfig config_;
   Sobol sobol_{kDimensions};
   std::vector<double> values_;  // per-point output of the current iteration

@@ -37,30 +37,66 @@ std::vector<std::string> all_workload_names() {
 
 std::vector<std::string> divisible_workload_names() { return {"kmeans", "hotspot"}; }
 
+namespace {
+
+template <typename W>
+WorkloadPtr make_default() {
+  return std::make_unique<W>();
+}
+
+WorkloadPtr make_kmeans_pipeline() {
+  KmeansPipelineConfig cfg;
+  cfg.pipelined = g_pipeline_tuning.pipelined;
+  cfg.stream_depth = g_pipeline_tuning.stream_depth;
+  cfg.chunks = g_pipeline_tuning.chunks;
+  return std::make_unique<KmeansPipeline>(cfg);
+}
+
+WorkloadPtr make_srad_stream() {
+  SradStreamConfig cfg;
+  cfg.pipelined = g_pipeline_tuning.pipelined;
+  cfg.stream_depth = g_pipeline_tuning.stream_depth;
+  cfg.frames_per_iteration = g_pipeline_tuning.chunks;
+  return std::make_unique<SradStream>(cfg);
+}
+
+struct Entry {
+  std::string_view name;
+  WorkloadPtr (*make)();
+};
+
+/// Every name and alias make_workload accepts, with its constructor.
+constexpr Entry kRegistry[] = {
+    {"bfs", &make_default<Bfs>},
+    {"lud", &make_default<Lud>},
+    {"nbody", &make_default<Nbody>},
+    {"pathfinder", &make_default<Pathfinder>},
+    {"PF", &make_default<Pathfinder>},
+    {"QG", &make_default<Qrng>},
+    {"qrng", &make_default<Qrng>},
+    {"srad_v2", &make_default<Srad>},
+    {"srad", &make_default<Srad>},
+    {"hotspot", &make_default<Hotspot>},
+    {"kmeans", &make_default<Kmeans>},
+    {"streamcluster", &make_default<Streamcluster>},
+    {"SC", &make_default<Streamcluster>},
+    {"kmeans_pipeline", &make_kmeans_pipeline},
+    {"srad_stream", &make_srad_stream},
+};
+
+const Entry* find_entry(std::string_view name) {
+  for (const Entry& e : kRegistry) {
+    if (e.name == name) return &e;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+bool is_workload_name(std::string_view name) { return find_entry(name) != nullptr; }
+
 WorkloadPtr make_workload(std::string_view name) {
-  if (name == "bfs") return std::make_unique<Bfs>();
-  if (name == "lud") return std::make_unique<Lud>();
-  if (name == "nbody") return std::make_unique<Nbody>();
-  if (name == "pathfinder" || name == "PF") return std::make_unique<Pathfinder>();
-  if (name == "QG" || name == "qrng") return std::make_unique<Qrng>();
-  if (name == "srad_v2" || name == "srad") return std::make_unique<Srad>();
-  if (name == "hotspot") return std::make_unique<Hotspot>();
-  if (name == "kmeans") return std::make_unique<Kmeans>();
-  if (name == "streamcluster" || name == "SC") return std::make_unique<Streamcluster>();
-  if (name == "kmeans_pipeline") {
-    KmeansPipelineConfig cfg;
-    cfg.pipelined = g_pipeline_tuning.pipelined;
-    cfg.stream_depth = g_pipeline_tuning.stream_depth;
-    cfg.chunks = g_pipeline_tuning.chunks;
-    return std::make_unique<KmeansPipeline>(cfg);
-  }
-  if (name == "srad_stream") {
-    SradStreamConfig cfg;
-    cfg.pipelined = g_pipeline_tuning.pipelined;
-    cfg.stream_depth = g_pipeline_tuning.stream_depth;
-    cfg.frames_per_iteration = g_pipeline_tuning.chunks;
-    return std::make_unique<SradStream>(cfg);
-  }
+  if (const Entry* e = find_entry(name)) return e->make();
   throw std::invalid_argument("unknown workload: " + std::string(name));
 }
 

@@ -13,9 +13,14 @@ namespace gg::workloads {
 [[nodiscard]] std::vector<std::string> all_workload_names();
 
 /// Construct a workload by its Table II name ("bfs", "lud", "nbody",
-/// "pathfinder" (PF), "QG", "srad_v2", "hotspot", "kmeans",
-/// "streamcluster").  Throws std::invalid_argument for unknown names.
+/// "pathfinder" (PF), "QG" (qrng), "srad_v2" (srad), "hotspot", "kmeans",
+/// "streamcluster" (SC)) or pipeline name.  Throws std::invalid_argument
+/// ("unknown workload: <name>") for unknown names.
 [[nodiscard]] WorkloadPtr make_workload(std::string_view name);
+
+/// Whether make_workload accepts `name`, without constructing anything.
+/// Reads the same name/alias table make_workload dispatches through.
+[[nodiscard]] bool is_workload_name(std::string_view name);
 
 /// The two divisible workloads the paper's two-tier experiments use.
 [[nodiscard]] std::vector<std::string> divisible_workload_names();

@@ -25,10 +25,16 @@ struct SradConfig {
   std::uint64_t seed{67};
   /// Table II class: high core, medium memory; 2048 sim rows/iteration.
   IntensityProfile profile{0.88, 0.48, 8.0e-4, 2048.0, 11.0, 0.9};
+
+  auto operator<=>(const SradConfig&) const = default;
 };
 
 class Srad final : public ProfiledWorkload {
  public:
+  using Config = SradConfig;
+  /// Final image of the serial diffusion (rows x cols).
+  using Reference = std::vector<double>;
+
   explicit Srad(SradConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "srad_v2"; }
@@ -52,6 +58,7 @@ class Srad final : public ProfiledWorkload {
  private:
   void step_rows(const std::vector<double>& in, std::vector<double>& out,
                  std::size_t begin, std::size_t end) const;
+  [[nodiscard]] Reference reference() const;
 
   SradConfig config_;
   std::vector<double> img_in_;

@@ -6,6 +6,7 @@
 #include "src/common/annotations.h"
 #include "src/common/rng.h"
 #include "src/sim/fault.h"
+#include "src/workloads/reference_memo.h"
 
 namespace gg::workloads {
 
@@ -186,8 +187,7 @@ void SradStream::teardown(cudalite::Runtime& rt) {
   ran_ = true;
 }
 
-bool SradStream::verify() const {
-  if (!ran_) return false;
+SradStream::Reference SradStream::reference() const {
   // Serial reference over the whole stream, identical math and identical
   // summation order (per-frame element order, frames folded in order).
   std::vector<double> in(frame_elems());
@@ -201,6 +201,13 @@ bool SradStream::verify() const {
     for (std::size_t i = 0; i < frame_elems(); ++i) sum += out[i];
     ref += sum;
   }
+  return ref;
+}
+
+bool SradStream::verify() const {
+  if (!ran_) return false;
+  const double ref = *reference_memo<SradStream>().get_or_compute(
+      config_, [this] { return reference(); });
   const double tol = 1e-9 * std::max(1.0, std::fabs(ref));
   return std::fabs(checksum_ - ref) <= tol;
 }

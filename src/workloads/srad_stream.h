@@ -39,10 +39,16 @@ struct SradStreamConfig {
   /// Diffusion-kernel intensity: unit_time_s is the per-frame kernel time at
   /// peak clocks (memory-heavy, like srad_v2).
   IntensityProfile profile{0.25, 0.80, 0.35, 8.0, 1.0, 0.85};
+
+  auto operator<=>(const SradStreamConfig&) const = default;
 };
 
 class SradStream final : public Workload {
  public:
+  using Config = SradStreamConfig;
+  /// Checksum of the serially diffused stream.
+  using Reference = double;
+
   explicit SradStream(SradStreamConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "srad_stream"; }
@@ -74,6 +80,7 @@ class SradStream final : public Workload {
   /// One diffusion step over rows [row_begin, row_end) of `in` into `out`.
   void diffuse_rows(const double* in, double* out, std::size_t row_begin,
                     std::size_t row_end) const;
+  [[nodiscard]] Reference reference() const;
 
   SradStreamConfig config_;
   std::vector<double> scratch_frame_;            // reused across enqueues (eager H2D)

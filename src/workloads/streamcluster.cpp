@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/rng.h"
+#include "src/workloads/reference_memo.h"
 
 namespace gg::workloads {
 
@@ -87,8 +88,7 @@ double Streamcluster::total_cost() const {
   return s;
 }
 
-bool Streamcluster::verify() const {
-  if (!ran_) return false;
+Streamcluster::Reference Streamcluster::reference() const {
   // Serial reference of the whole pgain sequence.
   std::vector<double> ref(config_.points);
   for (std::size_t i = 0; i < config_.points; ++i) ref[i] = dist2(i, 0);
@@ -105,9 +105,16 @@ bool Streamcluster::verify() const {
       for (std::size_t i = 0; i < config_.points; ++i) ref[i] = std::min(ref[i], cand[i]);
     }
   }
-  if (final_costs_.size() != ref.size()) return false;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    if (std::fabs(final_costs_[i] - ref[i]) > 1e-12) return false;
+  return ref;
+}
+
+bool Streamcluster::verify() const {
+  if (!ran_) return false;
+  const auto ref = reference_memo<Streamcluster>().get_or_compute(
+      config_, [this] { return reference(); });
+  if (final_costs_.size() != ref->size()) return false;
+  for (std::size_t i = 0; i < ref->size(); ++i) {
+    if (std::fabs(final_costs_[i] - (*ref)[i]) > 1e-12) return false;
   }
   return true;
 }

@@ -34,10 +34,16 @@ struct StreamclusterConfig {
   /// Iterations of low activity before the stream ramps up (reproduces the
   /// warm-up ramp visible in the Fig. 5 trace).
   std::size_t warmup_iterations{3};
+
+  auto operator<=>(const StreamclusterConfig&) const = default;
 };
 
 class Streamcluster final : public ProfiledWorkload {
  public:
+  using Config = StreamclusterConfig;
+  /// Per-point assignment costs after the serial pgain sequence.
+  using Reference = std::vector<double>;
+
   explicit Streamcluster(StreamclusterConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "streamcluster"; }
@@ -64,6 +70,7 @@ class Streamcluster final : public ProfiledWorkload {
  private:
   [[nodiscard]] std::size_t candidate_for(std::size_t iter) const;
   [[nodiscard]] double dist2(std::size_t a, std::size_t b) const;
+  [[nodiscard]] Reference reference() const;
 
   StreamclusterConfig config_;
   std::vector<double> coords_;     // points x dims

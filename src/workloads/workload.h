@@ -9,10 +9,11 @@
 //
 // Workloads REALLY compute: `setup` builds real inputs, the per-iteration
 // chunk functions run actual kernels on the cudalite pool, and `verify`
-// checks the final output against a scalar reference.  In parallel, each
-// workload carries an `IntensityProfile` per iteration that drives the
-// simulated timing/energy (calibrated to the Table II utilization classes
-// with the paper's enlarged problem sizes).
+// checks the final output against a scalar reference (computed once per
+// config, see reference_memo.h).  In parallel, each workload carries an
+// `IntensityProfile` per iteration that drives the simulated timing/energy
+// (calibrated to the Table II utilization classes with the paper's enlarged
+// problem sizes).
 #pragma once
 
 #include <cstddef>
@@ -78,8 +79,11 @@ class Workload {
   /// Copy results back (charges simulated D2H time).
   virtual void teardown(cudalite::Runtime& rt) = 0;
 
-  /// Check final results against the scalar reference; call after a full
-  /// run + teardown.
+  /// Check this instance's final results against the scalar reference; call
+  /// after a full run + teardown (false otherwise).  The reference is a pure
+  /// function of the workload's config, so implementations may share it
+  /// across instances through reference_memo.h; the comparison itself always
+  /// reads this instance's own results, so every run is checked.
   [[nodiscard]] virtual bool verify() const = 0;
 };
 

@@ -96,13 +96,15 @@ TEST_F(ServiceCoreTest, ProtocolRejectsGarbageWithoutSideEffects) {
   EXPECT_EQ(core.handle_line("STATUS x"), "400 bad seq");
   // Bad submissions cost no seq and leave no journal record.
   EXPECT_EQ(core.handle_line("SUBMIT").rfind("400", 0), 0u);
-  EXPECT_EQ(core.handle_line("SUBMIT nope best-performance").rfind("400", 0), 0u);
+  EXPECT_EQ(core.handle_line("SUBMIT nope best-performance"), "400 unknown workload: nope");
   EXPECT_EQ(core.handle_line("SUBMIT bfs nope").rfind("400", 0), 0u);
   EXPECT_EQ(core.handle_line("SUBMIT bfs greengpu frobs=1").rfind("400", 0), 0u);
   EXPECT_EQ(core.handle_line("SUBMIT bfs greengpu priority=x").rfind("400", 0), 0u);
   EXPECT_EQ(core.stats().submitted, 0u);
   EXPECT_EQ(core.handle_line("SUBMIT bfs greengpu priority=1 deadline=9000 iters=5"),
             "202 accepted seq=1");
+  // Aliases are workload names too.
+  EXPECT_EQ(core.handle_line("SUBMIT PF greengpu"), "202 accepted seq=2");
 }
 
 TEST_F(ServiceCoreTest, PauseHoldsWorkResumeReleasesIt) {

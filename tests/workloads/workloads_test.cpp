@@ -80,7 +80,7 @@ INSTANTIATE_TEST_SUITE_P(TableII, WorkloadSuiteTest,
 TEST(Registry, AllNamesCount) { EXPECT_EQ(all_workload_names().size(), 9u); }
 
 TEST(Registry, UnknownNameThrows) {
-  EXPECT_THROW(make_workload("not-a-workload"), std::invalid_argument);
+  EXPECT_THROW((void)make_workload("not-a-workload"), std::invalid_argument);
 }
 
 TEST(Registry, AliasesResolve) {
@@ -88,6 +88,32 @@ TEST(Registry, AliasesResolve) {
   EXPECT_EQ(make_workload("qrng")->name(), "QG");
   EXPECT_EQ(make_workload("SC")->name(), "streamcluster");
   EXPECT_EQ(make_workload("srad")->name(), "srad_v2");
+}
+
+TEST(Registry, EveryNameAndAliasIsAcceptedByBoth) {
+  std::vector<std::string> names = all_workload_names();
+  for (const auto& n : pipeline_workload_names()) names.push_back(n);
+  for (const char* alias : {"PF", "qrng", "srad", "SC"}) names.emplace_back(alias);
+  ASSERT_EQ(names.size(), 15u);
+  for (const auto& n : names) {
+    EXPECT_TRUE(is_workload_name(n)) << n;
+    EXPECT_NO_THROW((void)make_workload(n)) << n;
+  }
+}
+
+TEST(Registry, UnknownNamesAreRejectedByBoth) {
+  // Near misses: case, whitespace, prefixes and the empty name.
+  for (const char* n : {"", "not-a-workload", "BFS", "bfs ", "kmean", "kmeans_", "pf", "sc",
+                        "trace-replay"}) {
+    EXPECT_FALSE(is_workload_name(n)) << n;
+    EXPECT_THROW((void)make_workload(n), std::invalid_argument) << n;
+  }
+  try {
+    (void)make_workload("nope");
+    FAIL() << "make_workload accepted an unknown name";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown workload: nope");
+  }
 }
 
 TEST(Registry, DivisibleWorkloadsArePaperPair) {
