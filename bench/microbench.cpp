@@ -187,6 +187,26 @@ void BM_EventQueueCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancelChurn);
 
+void BM_EventQueuePeriodicTick(benchmark::State& state) {
+  // The controller-tick shape of a model-only cell: an ondemand-style 0.1 s
+  // timer and a 3 s scaler-style timer firing from the timer lane, beside a
+  // few one-shot completions in the heap.  Items are ticks fired.
+  constexpr int kTicks = 1000;
+  for (auto _ : state) {
+    sim::EventQueue q;
+    std::uint64_t work = 0;
+    sim::EventHandle governor = q.schedule_every(0.1_s, 0.1_s, [&work] { ++work; });
+    sim::EventHandle scaler = q.schedule_every(3_s, 3_s, [&work] { work += 2; });
+    for (int i = 1; i <= 4; ++i) q.schedule_at(Seconds{25.0 * i}, [] {});
+    while (q.fired_count() < kTicks) q.step();
+    governor.cancel();
+    scaler.cancel();
+    benchmark::DoNotOptimize(work);
+  }
+  state.SetItemsProcessed(state.iterations() * kTicks);
+}
+BENCHMARK(BM_EventQueuePeriodicTick);
+
 void BM_GpuKernelCycle(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventQueue q;

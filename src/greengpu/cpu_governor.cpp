@@ -24,17 +24,12 @@ GovernorDecision CpuGovernor::step(Seconds now) {
   return d;
 }
 
-void CpuGovernor::attach() {
-  detach();
-  arm();
-}
+void CpuGovernor::attach() { attach_at(platform_->queue().now() + interval_); }
 
 void CpuGovernor::attach_at(Seconds first_step) {
   detach();
-  next_ = platform_->queue().schedule_at(first_step, [this] {
-    step(platform_->queue().now());
-    arm();
-  });
+  ticks_ = platform_->queue().schedule_every(first_step, interval_,
+                                             [this] { step(platform_->queue().now()); });
 }
 
 namespace {
@@ -77,14 +72,7 @@ void WmaCpuGovernor::load(common::SnapshotReader& r) {
   table_.load(r);
 }
 
-void CpuGovernor::arm() {
-  next_ = platform_->queue().schedule_in(interval_, [this] {
-    step(platform_->queue().now());
-    arm();
-  });
-}
-
-void CpuGovernor::detach() { next_.cancel(); }
+void CpuGovernor::detach() { ticks_.cancel(); }
 
 std::size_t OndemandGovernor::decide(double util) {
   std::size_t level = current_level();

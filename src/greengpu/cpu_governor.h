@@ -89,14 +89,12 @@ class CpuGovernor {
   [[nodiscard]] std::size_t current_level() const { return platform_->cpu().level(); }
 
  private:
-  void arm();
-
   sim::Platform* platform_;
   Seconds interval_;
   sim::CpuUtilSampler sampler_;
   DecisionRecorder<GovernorDecision> decisions_;
   std::uint64_t steps_{0};
-  sim::EventHandle next_;
+  sim::EventHandle ticks_;
 };
 
 /// linux `performance`: pin the highest frequency.

@@ -261,29 +261,18 @@ void GpuFrequencyScaler::schedule_retry(PairIndex pair, int attempt) {
 }
 
 void GpuFrequencyScaler::attach(sim::EventQueue& queue) {
-  detach();
-  attached_queue_ = &queue;
-  arm(queue);
+  attach_at(queue, queue.now() + params_.interval);
 }
 
 void GpuFrequencyScaler::attach_at(sim::EventQueue& queue, Seconds first_step) {
   detach();
   attached_queue_ = &queue;
-  next_ = queue.schedule_at(first_step, [this, &queue] {
-    step(queue.now());
-    arm(queue);
-  });
-}
-
-void GpuFrequencyScaler::arm(sim::EventQueue& queue) {
-  next_ = queue.schedule_in(params_.interval, [this, &queue] {
-    step(queue.now());
-    arm(queue);
-  });
+  ticks_ = queue.schedule_every(first_step, params_.interval,
+                                [this, &queue] { step(queue.now()); });
 }
 
 void GpuFrequencyScaler::detach() {
-  next_.cancel();
+  ticks_.cancel();
   retry_.cancel();
   attached_queue_ = nullptr;
 }

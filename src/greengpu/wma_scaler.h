@@ -111,7 +111,6 @@ class GpuFrequencyScaler {
   void load(common::SnapshotReader& r);
 
  private:
-  void arm(sim::EventQueue& queue);
   ScalerDecision step_fast(Seconds now);
   ScalerDecision step_reference(Seconds now);
   /// Enforce `pair` through the actuator, with bounded immediate re-tries
@@ -148,7 +147,8 @@ class GpuFrequencyScaler {
   std::uint64_t steps_{0};
   std::uint64_t held_steps_{0};
   std::uint64_t actuation_failures_{0};
-  sim::EventHandle next_;
+  sim::EventHandle ticks_;
+  /// One-shot actuation retry (not a periodic tick).
   sim::EventHandle retry_;
   sim::EventQueue* attached_queue_{nullptr};
 };

@@ -21,6 +21,71 @@ GG_HOT EventHandle EventQueue::schedule_at(Seconds when, Action action) {
   return EventHandle{slab_, slot};
 }
 
+EventHandle EventQueue::schedule_every(Seconds first, Seconds period, Action action) {
+  owner_.assert_owner("sim::EventQueue");
+  if (first < now_) throw std::invalid_argument("EventQueue: schedule in the past");
+  if (!(period > Seconds{0.0})) {
+    throw std::invalid_argument("EventQueue: timer period must be > 0");
+  }
+  if (!action) throw std::invalid_argument("EventQueue: empty action");
+  const std::uint32_t slot = slab_->acquire();
+  auto& s = slab_->slots[slot];
+  s.in_heap = false;
+  s.in_lane = true;
+  Timer* t = nullptr;
+  for (Timer& entry : timers_) {
+    if (entry.slot == detail::EventSlab::kNone) {
+      t = &entry;
+      break;
+    }
+  }
+  if (t == nullptr) t = &timers_.emplace_back();
+  *t = Timer{first, next_seq_++, period, std::move(action), slot, false};
+  ++timers_in_lane_;
+  return EventHandle{slab_, slot};
+}
+
+void EventQueue::retire_timer(Timer& t) {
+  auto& s = slab_->slots[t.slot];
+  s.in_lane = false;
+  if (s.cancelled) --slab_->cancelled_in_lane;
+  slab_->release_if_unused(t.slot);
+  t.slot = detail::EventSlab::kNone;
+  t.action = Action{};
+  --timers_in_lane_;
+}
+
+EventQueue::Timer* EventQueue::next_timer() {
+  if (timers_in_lane_ == 0) return nullptr;
+  Timer* next = nullptr;
+  for (Timer& t : timers_) {
+    if (t.slot == detail::EventSlab::kNone || t.firing) continue;
+    if (slab_->slots[t.slot].cancelled) {
+      retire_timer(t);
+      continue;
+    }
+    if (next == nullptr || fires_before(t, *next)) next = &t;
+  }
+  return next;
+}
+
+// Re-keys the timer in place: no heap operation, slot, handle or action
+// move per tick.  The next key is what the equivalent chain would get —
+// fire time + period, and a sequence number taken after the action ran.
+GG_HOT void EventQueue::fire_timer(Timer& t) {
+  now_ = t.when;
+  ++fired_;
+  t.firing = true;
+  t.action();
+  t.firing = false;
+  if (slab_->slots[t.slot].cancelled) {
+    retire_timer(t);
+  } else {
+    t.when = t.when + t.period;
+    t.seq = next_seq_++;
+  }
+}
+
 void EventQueue::retire_entry(const Entry& e) const {
   auto& s = slab_->slots[e.slot];
   s.in_heap = false;
@@ -55,12 +120,17 @@ void EventQueue::drop_cancelled() const {
 
 bool EventQueue::empty() const {
   drop_cancelled();
-  return heap_.empty();
+  return heap_.empty() && timers_in_lane_ == slab_->cancelled_in_lane;
 }
 
 GG_HOT bool EventQueue::step() {
   owner_.assert_owner("sim::EventQueue");
   drop_cancelled();
+  if (Timer* t = next_timer();
+      t != nullptr && (heap_.empty() || fires_before(*t, heap_.front()))) {
+    fire_timer(*t);
+    return true;
+  }
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   Entry e = std::move(heap_.back());
@@ -78,7 +148,9 @@ void EventQueue::run_until(Seconds until) {
   if (until < now_) throw std::invalid_argument("EventQueue: run_until in the past");
   for (;;) {
     drop_cancelled();
-    if (heap_.empty() || heap_.front().when > until) break;
+    const Timer* t = next_timer();
+    const bool heap_due = !heap_.empty() && heap_.front().when <= until;
+    if (!heap_due && (t == nullptr || t->when > until)) break;
     step();
   }
   now_ = until;

@@ -13,9 +13,15 @@
 // the heap is compacted in one pass — DVFS-driven rescheduling cancels
 // constantly, and without compaction long runs drag dead entries through
 // every sift.
+//
+// Periodic controller ticks (the CPU governor, the GPU scaler, the trace
+// recorder) dominate the event count, so they bypass the heap: a recurring
+// timer sits in a small lane beside it and is re-keyed in place each time
+// it fires (see schedule_every()).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -34,8 +40,9 @@ namespace gg::sim {
 namespace detail {
 
 /// Recycled per-event handle state.  A slot stays allocated while the heap
-/// entry exists or any EventHandle still points at it, so outcome flags
-/// survive exactly as long as someone can ask about them.
+/// entry (or timer-lane entry) exists or any EventHandle still points at
+/// it, so outcome flags survive exactly as long as someone can ask about
+/// them.
 struct EventSlab {
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
@@ -43,6 +50,7 @@ struct EventSlab {
     std::uint32_t handle_refs{0};
     std::uint32_t next_free{kNone};
     bool in_heap{false};
+    bool in_lane{false};
     bool cancelled{false};
     bool fired{false};
   };
@@ -51,24 +59,26 @@ struct EventSlab {
   std::uint32_t free_head{kNone};
   /// Cancelled entries still sitting in the heap (drives compaction).
   std::size_t cancelled_in_heap{0};
+  /// Cancelled timers still holding their lane entry.
+  std::size_t cancelled_in_lane{0};
 
   GG_HOT std::uint32_t acquire() {
     if (free_head == kNone) {
       // GG_LINT_ALLOW(hot-alloc): slab grows amortized to the run's peak
       // in-flight event count, then recycles slots forever.
-      slots.push_back(Slot{0, kNone, true, false, false});
+      slots.push_back(Slot{0, kNone, true, false, false, false});
       return static_cast<std::uint32_t>(slots.size() - 1);
     }
     const std::uint32_t idx = free_head;
     Slot& s = slots[idx];
     free_head = s.next_free;
-    s = Slot{0, kNone, true, false, false};
+    s = Slot{0, kNone, true, false, false, false};
     return idx;
   }
 
   void release_if_unused(std::uint32_t idx) {
     Slot& s = slots[idx];
-    if (s.handle_refs == 0 && !s.in_heap) {
+    if (s.handle_refs == 0 && !s.in_heap && !s.in_lane) {
       s.next_free = free_head;
       free_head = idx;
     }
@@ -78,6 +88,8 @@ struct EventSlab {
 }  // namespace detail
 
 /// Handle to a scheduled event; allows cancellation.  Copies share state.
+/// A handle from schedule_every() stays pending() until cancelled and never
+/// reports fired(): a recurring timer has no last firing.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -118,7 +130,11 @@ class EventHandle {
     auto& s = slab_->slots[idx_];
     if (s.fired || s.cancelled) return;
     s.cancelled = true;
-    if (s.in_heap) ++slab_->cancelled_in_heap;
+    if (s.in_heap) {
+      ++slab_->cancelled_in_heap;
+    } else if (s.in_lane) {
+      ++slab_->cancelled_in_lane;
+    }
   }
 
   [[nodiscard]] bool valid() const { return slab_ != nullptr; }
@@ -169,25 +185,43 @@ class EventQueue {
     return schedule_at(now_ + delay, std::move(action));
   }
 
+  /// Fire `action` at `first` (must be >= now()) and then every `period`
+  /// (must be > 0) until the returned handle is cancelled — from outside or
+  /// from inside the action itself.  Equivalent, firing for firing, to the
+  /// self-rescheduling chain
+  ///
+  ///     h = schedule_at(first, [&] { action(); h = schedule_in(period, ...); });
+  ///
+  /// including its ordering against other events: a tick at time t keys as
+  /// (t, seq) exactly like a heap entry, the next instant is computed as
+  /// fire time + period, and the next sequence number is taken after the
+  /// action returns.  Unlike the chain, a tick costs no heap operation, slab
+  /// slot, handle copy or action move.  The handle stays pending() (and
+  /// counts in pending_count()) until cancelled; fired() is never true.
+  EventHandle schedule_every(Seconds first, Seconds period, Action action);
+
   /// Run events with timestamp <= `until`, then advance the clock to `until`.
   void run_until(Seconds until);
 
-  /// Run until the queue is empty (cancelled events do not keep it alive).
+  /// Run until the queue is empty (cancelled events do not keep it alive;
+  /// a live recurring timer does, forever).
   void run_until_empty();
 
   /// Fire exactly one event if any is pending; returns false if none.
   bool step();
 
   [[nodiscard]] bool empty() const;
-  /// Live (un-cancelled, un-fired) events.  O(1).
+  /// Live (un-cancelled, un-fired) events, recurring timers included.  O(1).
   [[nodiscard]] std::size_t pending_count() const {
-    return heap_.size() - slab_->cancelled_in_heap;
+    return heap_.size() - slab_->cancelled_in_heap + timers_in_lane_ -
+           slab_->cancelled_in_lane;
   }
   /// Heap entries including lazily-deleted cancelled ones (lets tests and
   /// benchmarks observe compaction).
   [[nodiscard]] std::size_t queued_count() const { return heap_.size(); }
 
-  /// Total events fired (for tests and microbenchmarks).
+  /// Total events fired, every timer tick included (for tests and
+  /// microbenchmarks).
   [[nodiscard]] std::uint64_t fired_count() const { return fired_; }
   /// Times the heap was rebuilt to shed cancelled entries.
   [[nodiscard]] std::uint64_t compaction_count() const { return compactions_; }
@@ -213,6 +247,23 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
+  /// A recurring timer: keyed like an Entry, re-keyed in place per tick.
+  struct Timer {
+    Seconds when;
+    std::uint64_t seq;
+    Seconds period;
+    Action action;
+    /// Slab slot of the handle; kNone while the lane entry is free.
+    std::uint32_t slot;
+    /// Set while the action runs: the entry is neither due nor reusable.
+    bool firing;
+  };
+  /// The heap's (when, seq) order, across timers and heap entries.
+  template <typename A, typename B>
+  static bool fires_before(const A& a, const B& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
+  }
 
   /// Below this size a full rebuild costs more than it saves.
   static constexpr std::size_t kCompactionMinSize = 64;
@@ -224,7 +275,20 @@ class EventQueue {
   void compact() const;
   void retire_entry(const Entry& e) const;
 
+  /// Earliest live timer, not counting one whose action is running;
+  /// retires cancelled timers on the way.  Null if none.
+  Timer* next_timer();
+  void retire_timer(Timer& t);
+  void fire_timer(Timer& t);
+
   mutable std::vector<Entry> heap_;  // binary heap ordered by Later
+  /// Recurring-timer lane.  A deque so adding a timer from inside a running
+  /// action never moves that action; free entries (slot == kNone) are
+  /// reused by schedule_every().
+  std::deque<Timer> timers_;
+  /// Lane entries holding a slot, cancelled-but-unretired ones included.
+  std::size_t timers_in_lane_{0};
+
   /// The queue is single-owner by contract: each simulation (campaign cell,
   /// test, bench) drives its own queue on one thread.  Armed in debug/TSan
   /// builds; compiles away in release.

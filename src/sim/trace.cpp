@@ -10,20 +10,13 @@ TraceRecorder::TraceRecorder(Platform& platform, Seconds period)
       gpu_sampler_(platform.gpu(), platform.queue()),
       cpu_sampler_(platform.cpu(), platform.queue()),
       last_energy_(platform.snapshot()) {
-  arm();
+  auto& queue = platform.queue();
+  ticks_ = queue.schedule_every(queue.now() + period_, period_, [this] { take_sample(); });
 }
 
-void TraceRecorder::arm() {
-  next_ = platform_->queue().schedule_in(period_, [this] { take_sample(); });
-}
-
-void TraceRecorder::stop() {
-  stopped_ = true;
-  next_.cancel();
-}
+void TraceRecorder::stop() { ticks_.cancel(); }
 
 void TraceRecorder::take_sample() {
-  if (stopped_) return;
   const GpuUtilization gu = gpu_sampler_.sample();
   const double cu = cpu_sampler_.sample();
   const EnergySnapshot e = platform_->snapshot();
@@ -43,7 +36,6 @@ void TraceRecorder::take_sample() {
     s.cpu_power = d.cpu / d.elapsed;
   }
   samples_.push_back(s);
-  arm();
 }
 
 void TraceRecorder::write_csv(std::ostream& os) const {

@@ -44,15 +44,13 @@ class TraceRecorder {
 
  private:
   void take_sample();
-  void arm();
 
   Platform* platform_;
   Seconds period_;
   GpuUtilSampler gpu_sampler_;
   CpuUtilSampler cpu_sampler_;
   EnergySnapshot last_energy_;
-  EventHandle next_;
-  bool stopped_{false};
+  EventHandle ticks_;
   std::vector<TraceSample> samples_;
 };
 

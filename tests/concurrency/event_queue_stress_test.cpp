@@ -25,11 +25,16 @@ namespace gg::sim {
 namespace {
 
 /// Deterministic slab-heavy churn: schedule bursts, cancel a comb pattern,
-/// reschedule from callbacks, drain.  Returns (fired, compactions) —
-/// identical for every isolated queue by construction.
+/// reschedule from callbacks, drain; a recurring timer per round is
+/// cancelled at its end, so timer-lane entries and their slots recycle too.
+/// Returns (fired, compactions) — identical for every isolated queue by
+/// construction.
 std::pair<std::uint64_t, std::uint64_t> churn(int rounds) {
   EventQueue q;
   for (int round = 0; round < rounds; ++round) {
+    EventHandle ticker = q.schedule_every(q.now(), Seconds{0.003}, [&q] {
+      if (q.pending_count() < 16) q.schedule_in(Seconds{0.0015}, [] {});
+    });
     std::vector<EventHandle> handles;
     for (int e = 0; e < 200; ++e) {
       handles.push_back(q.schedule_in(Seconds{0.001 * (e % 16 + 1)}, [&q] {
@@ -41,6 +46,7 @@ std::pair<std::uint64_t, std::uint64_t> churn(int rounds) {
       if (h % 4 != 0) handles[h].cancel();
     }
     q.run_until(q.now() + Seconds{0.5});
+    ticker.cancel();
   }
   q.run_until_empty();
   return {q.fired_count(), q.compaction_count()};
@@ -74,14 +80,18 @@ TEST(EventQueueStress, HandleLifetimesSpanQueueDestruction) {
     threads.emplace_back([] {
       for (int round = 0; round < 200; ++round) {
         EventHandle survivor;
+        EventHandle ticker;
         {
           EventQueue q;
           survivor = q.schedule_in(Seconds{1.0}, [] {});
+          ticker = q.schedule_every(Seconds{0.05}, Seconds{0.02}, [] {});
           q.schedule_in(Seconds{0.5}, [] {}).cancel();
           q.run_until(Seconds{0.1});
         }
         EXPECT_TRUE(survivor.valid());
         EXPECT_FALSE(survivor.fired());
+        EXPECT_TRUE(ticker.pending());
+        ticker.cancel();
       }
     });
   }

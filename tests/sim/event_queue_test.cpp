@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/snapshot.h"
 
 namespace gg::sim {
@@ -355,6 +357,224 @@ TEST(EventQueue, SnapshotLoadRequiresEmptyQueue) {
   busy.schedule_at(1_s, [] {});
   common::SnapshotReader r = common::SnapshotReader::from_payload(w.payload());
   EXPECT_THROW(busy.load(r), std::logic_error);
+}
+
+// --- Recurring timers (schedule_every) -------------------------------------
+
+/// (time, id) per firing, plus (-1, pending_count) probes between runs.
+using FiringLog = std::vector<std::pair<double, std::uint64_t>>;
+
+/// A seeded mixed schedule — recurring ticks on dyadic periods (so ticks of
+/// different timers collide exactly), one-shots landing exactly on tick
+/// instants, cancellations from actions, a timer started mid-run — driven
+/// either through schedule_every() or through the self-rescheduling chain
+/// idiom it replaces, which stays here as the oracle.
+FiringLog run_mixed_schedule(std::uint64_t seed, bool use_timers) {
+  EventQueue q;
+  Rng rng(seed);
+  FiringLog log;
+  constexpr std::size_t kTimers = 5;  // the last one starts mid-run
+  const double periods[kTimers] = {0.25, 0.5, 0.125, 0.375, 0.25};
+  std::vector<EventHandle> handles(kTimers);
+  std::function<void(std::size_t)> tick;
+
+  std::function<void(std::size_t, Seconds)> arm_chain = [&](std::size_t k, Seconds when) {
+    handles[k] = q.schedule_at(when, [&, k] {
+      tick(k);
+      arm_chain(k, q.now() + Seconds{periods[k]});
+    });
+  };
+  auto start = [&](std::size_t k, Seconds first) {
+    if (use_timers) {
+      handles[k] = q.schedule_every(first, Seconds{periods[k]}, [&tick, k] { tick(k); });
+    } else {
+      arm_chain(k, first);
+    }
+  };
+  auto one_shot = [&](Seconds when, std::uint64_t id) {
+    q.schedule_at(when, [&, id] {
+      log.emplace_back(q.now().get(), id);
+      if (rng.uniform() < 0.02) handles[rng.uniform_int(kTimers - 1)].cancel();
+    });
+  };
+  tick = [&](std::size_t k) {
+    log.emplace_back(q.now().get(), k);
+    // Lands exactly on this timer's next instant: FIFO puts it first.
+    if (rng.uniform() < 0.3) one_shot(q.now() + Seconds{periods[k]}, 100 + k);
+    // Lands on the 1/8 s grid every timer ticks on.
+    if (rng.uniform() < 0.2) {
+      one_shot(q.now() + Seconds{0.125 * static_cast<double>(rng.uniform_int(6))}, 200);
+    }
+    if (rng.uniform() < 0.03) {
+      const std::size_t other = rng.uniform_int(kTimers - 1);
+      if (other != k) handles[other].cancel();
+    }
+    if (k == 0 && !handles[kTimers - 1].valid() && rng.uniform() < 0.1) {
+      start(kTimers - 1, q.now() + Seconds{0.125});
+    }
+  };
+
+  for (std::size_t k = 0; k + 1 < kTimers; ++k) {
+    start(k, Seconds{0.125 * static_cast<double>(rng.uniform_int(8))});
+  }
+  for (int i = 0; i < 40; ++i) {
+    one_shot(Seconds{0.125 * static_cast<double>(rng.uniform_int(160))}, 300);
+  }
+  for (int round = 1; round <= 40; ++round) {
+    const Seconds target{0.5 * round};
+    q.run_until(target < q.now() ? q.now() : target);
+    log.emplace_back(-1.0, q.pending_count());
+    for (int i = 0; i < 3; ++i) q.step();
+  }
+  log.emplace_back(-2.0, q.fired_count());
+  for (auto& h : handles) h.cancel();
+  q.run_until_empty();
+  log.emplace_back(-3.0, q.fired_count());
+  return log;
+}
+
+TEST(EventQueueTimer, MatchesTheSelfReschedulingChainFiringForFiring) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const FiringLog timers = run_mixed_schedule(seed, true);
+    const FiringLog chain = run_mixed_schedule(seed, false);
+    ASSERT_GT(timers.size(), 200u) << "seed " << seed;
+    EXPECT_EQ(timers, chain) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueTimer, FiresEveryPeriodAndCountsEveryTick) {
+  EventQueue q;
+  std::vector<double> times;
+  EventHandle h = q.schedule_every(1_s, 0.5_s, [&] { times.push_back(q.now().get()); });
+  q.run_until(3_s);
+  EXPECT_EQ(times, (std::vector<double>{1.0, 1.5, 2.0, 2.5, 3.0}));
+  EXPECT_EQ(q.fired_count(), 5u);
+  EXPECT_TRUE(h.pending());
+  EXPECT_FALSE(h.fired());
+  h.cancel();
+  EXPECT_TRUE(h.cancelled());
+  EXPECT_FALSE(h.pending());
+  q.run_until(10_s);
+  EXPECT_EQ(times.size(), 5u);
+}
+
+TEST(EventQueueTimer, CancellingItsOwnHandleFromTheActionStopsIt) {
+  EventQueue q;
+  int fires = 0;
+  EventHandle h;
+  h = q.schedule_every(1_s, 1_s, [&] {
+    if (++fires == 3) h.cancel();
+  });
+  q.run_until(10_s);
+  EXPECT_EQ(fires, 3);
+  EXPECT_TRUE(h.cancelled());
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending_count(), 0u);
+}
+
+TEST(EventQueueTimer, AnActionCanCancelAnotherTimer) {
+  EventQueue q;
+  int a = 0;
+  int b = 0;
+  EventHandle hb = q.schedule_every(1_s, 1_s, [&] { ++b; });
+  EventHandle ha = q.schedule_every(1.5_s, 1_s, [&] {
+    if (++a == 2) hb.cancel();
+  });
+  q.run_until(6_s);
+  EXPECT_EQ(b, 2);  // 1 s, 2 s; cancelled at 2.5 s before its 3 s tick
+  EXPECT_EQ(a, 5);
+  EXPECT_EQ(q.pending_count(), 1u);
+  ha.cancel();
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTimer, AddingTimersFromAnActionDoesNotMoveIt) {
+  // The lane must be stable storage: were the running action relocated by
+  // the lane growing underneath it, reading its own captures afterwards
+  // would be a use-after-free (caught under GREENGPU_SANITIZE=address).
+  EventQueue q;
+  std::vector<EventHandle> added;
+  int fires = 0;
+  const std::uint64_t marker = 0x5eedf00d;
+  EventHandle h = q.schedule_every(1_s, 1_s, [&q, &added, &fires, marker] {
+    for (int i = 0; i < 64; ++i) {
+      added.push_back(q.schedule_every(q.now() + 0.5_s, 1_s, [] {}));
+    }
+    EXPECT_EQ(marker, 0x5eedf00du);
+    ++fires;
+  });
+  q.run_until(2_s);
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(q.pending_count(), 129u);
+  // Cancelled entries are recycled: re-adding reuses them.
+  for (auto& a : added) a.cancel();
+  EXPECT_EQ(q.pending_count(), 1u);
+  q.run_until(3_s);
+  EXPECT_EQ(fires, 3);
+  EXPECT_EQ(q.fired_count(), 2u + 64u + 1u);
+  h.cancel();
+}
+
+TEST(EventQueueTimer, CountsInPendingEmptyAndTheInclusiveRunUntilBoundary) {
+  EventQueue q;
+  EXPECT_TRUE(q.empty());
+  int fires = 0;
+  EventHandle h = q.schedule_every(2_s, 2_s, [&] { ++fires; });
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pending_count(), 1u);
+  q.schedule_at(1_s, [] {});
+  EXPECT_EQ(q.pending_count(), 2u);
+  q.run_until(2_s);  // inclusive: the tick at exactly 2 s fires
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(q.now(), 2_s);
+  q.run_until(3.999_s);
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(q.pending_count(), 1u);
+  h.cancel();
+  EXPECT_EQ(q.pending_count(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.step());
+}
+
+TEST(EventQueueTimer, HandleOutlivesTheQueue) {
+  EventHandle survivor;
+  int fires = 0;
+  {
+    EventQueue q;
+    survivor = q.schedule_every(1_s, 1_s, [&fires] { ++fires; });
+    q.run_until(2_s);
+  }
+  EXPECT_EQ(fires, 2);
+  EXPECT_TRUE(survivor.valid());
+  EXPECT_TRUE(survivor.pending());
+  survivor.cancel();  // must not touch the dead queue
+  EXPECT_TRUE(survivor.cancelled());
+}
+
+TEST(EventQueueTimer, LoadThrowsWhileATimerIsLive) {
+  EventQueue q;
+  q.run_until(3_s);
+  common::SnapshotWriter w;
+  q.save(w);
+
+  EventQueue busy;
+  EventHandle h = busy.schedule_every(1_s, 1_s, [] {});
+  common::SnapshotReader r = common::SnapshotReader::from_payload(w.payload());
+  EXPECT_THROW(busy.load(r), std::logic_error);
+  h.cancel();
+  common::SnapshotReader again = common::SnapshotReader::from_payload(w.payload());
+  busy.load(again);
+  EXPECT_EQ(busy.now(), 3_s);
+}
+
+TEST(EventQueueTimer, RejectsBadArguments) {
+  EventQueue q;
+  q.run_until(5_s);
+  EXPECT_THROW(q.schedule_every(4_s, 1_s, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_every(6_s, 0_s, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_every(6_s, Seconds{-1.0}, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_every(6_s, 1_s, EventQueue::Action{}), std::invalid_argument);
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

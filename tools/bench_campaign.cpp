@@ -14,7 +14,9 @@
 //     per workload sharing a warm-up prefix) and asserts the two engines'
 //     reports are byte-identical at every --jobs value,
 //   * times the sim::EventQueue hot paths (schedule/fire, cancelled-entry
-//     ride-along, DVFS-style cancel churn) in ns per event,
+//     ride-along, DVFS-style cancel churn, recurring-timer ticks) in ns per
+//     event, and asserts a seeded mixed schedule fires identically through
+//     schedule_every and through the self-rescheduling chain it replaced,
 //   * times one Algorithm 1 scaler step through the fused fast path and the
 //     straight-line reference (ns/op + speedup) and asserts their decision
 //     streams match over the timed runs,
@@ -30,6 +32,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -37,6 +40,7 @@
 
 #include "src/common/flags.h"
 #include "src/common/json.h"
+#include "src/common/rng.h"
 #include "src/cudalite/nvml.h"
 #include "src/cudalite/nvsettings.h"
 #include "src/greengpu/campaign.h"
@@ -107,9 +111,51 @@ struct QueueTimings {
   double schedule_fire_ns{0.0};
   double schedule_cancel_fire_ns{0.0};
   double cancel_churn_ns{0.0};
+  double periodic_tick_ns{0.0};
+  bool periodic_matches_chain{false};
   std::uint64_t events_fired{0};  // anti-elision checksum
   std::uint64_t compactions{0};
 };
+
+/// (time, id) of every firing of a seeded mixed schedule — three recurring
+/// ticks on dyadic periods (so they collide exactly) plus one-shots, some
+/// landing exactly on tick instants — driven through schedule_every
+/// (`timers`) or through the self-rescheduling chain idiom it replaced.
+std::vector<std::pair<double, int>> periodic_firing_log(std::uint64_t seed, bool timers) {
+  sim::EventQueue q;
+  Rng rng(seed);
+  std::vector<std::pair<double, int>> log;
+  const double periods[3] = {0.125, 0.25, 0.375};
+  std::vector<sim::EventHandle> handles(3);
+  auto one_shot = [&](Seconds when, int id) {
+    q.schedule_at(when, [&log, &q, id] { log.emplace_back(q.now().get(), id); });
+  };
+  std::function<void(int)> tick = [&](int k) {
+    log.emplace_back(q.now().get(), k);
+    if (rng.uniform() < 0.3) one_shot(q.now() + Seconds{periods[k]}, 10 + k);
+  };
+  std::function<void(int, Seconds)> arm = [&](int k, Seconds when) {
+    handles[k] = q.schedule_at(when, [&, k] {
+      tick(k);
+      arm(k, q.now() + Seconds{periods[k]});
+    });
+  };
+  for (int k = 0; k < 3; ++k) {
+    const Seconds first{0.125 * static_cast<double>(rng.uniform_int(4))};
+    if (timers) {
+      handles[k] = q.schedule_every(first, Seconds{periods[k]}, [&tick, k] { tick(k); });
+    } else {
+      arm(k, first);
+    }
+  }
+  for (int i = 0; i < 50; ++i) {
+    one_shot(Seconds{0.125 * static_cast<double>(rng.uniform_int(400))}, 99);
+  }
+  q.run_until(Seconds{50.0});
+  for (auto& h : handles) h.cancel();
+  q.run_until_empty();
+  return log;
+}
 
 QueueTimings time_event_queue() {
   using namespace gg::literals;
@@ -171,6 +217,30 @@ QueueTimings time_event_queue() {
     }
     t.cancel_churn_ns =
         seconds_since(start) * 1e9 / (double(kReps) * kPending * (kRounds + 1));
+  }
+
+  {  // controller ticks: a 0.1 s and a 3 s timer beside sparse one-shots
+    constexpr int kReps = 2000;
+    constexpr std::uint64_t kTicks = 1000;
+    std::uint64_t work = 0;
+    const auto start = Clock::now();
+    for (int rep = 0; rep < kReps; ++rep) {
+      sim::EventQueue q;
+      sim::EventHandle governor = q.schedule_every(0.1_s, 0.1_s, [&work] { ++work; });
+      sim::EventHandle scaler = q.schedule_every(3_s, 3_s, [&work] { work += 2; });
+      for (int i = 1; i <= 4; ++i) q.schedule_at(Seconds{25.0 * i}, [] {});
+      while (q.fired_count() < kTicks) q.step();
+      governor.cancel();
+      scaler.cancel();
+      t.events_fired += q.fired_count() + (work & 1);
+    }
+    t.periodic_tick_ns = seconds_since(start) * 1e9 / (double(kReps) * kTicks);
+  }
+
+  t.periodic_matches_chain = true;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    t.periodic_matches_chain = t.periodic_matches_chain &&
+                               periodic_firing_log(seed, true) == periodic_firing_log(seed, false);
   }
   return t;
 }
@@ -494,6 +564,11 @@ int main(int argc, char** argv) {
   std::printf("  schedule+cancel+fire: %.1f ns/event\n", q.schedule_cancel_fire_ns);
   std::printf("  cancel churn:         %.1f ns/op (%llu compactions)\n", q.cancel_churn_ns,
               static_cast<unsigned long long>(q.compactions));
+  std::printf("  periodic tick:        %.1f ns/event\n", q.periodic_tick_ns);
+  std::printf("[%s] schedule_every vs self-rescheduling chain: %s\n",
+              q.periodic_matches_chain ? "OK" : "FAIL",
+              q.periodic_matches_chain ? "identical firings" : "DIFFER");
+  ok = q.periodic_matches_chain && ok;
 
   std::printf("timing scaler step (fast vs reference)...\n");
   const ScalerTimings s = time_scaler_step();
@@ -583,6 +658,8 @@ int main(int argc, char** argv) {
   w.kv("schedule_fire_ns_per_event", q.schedule_fire_ns);
   w.kv("schedule_cancel_fire_ns_per_event", q.schedule_cancel_fire_ns);
   w.kv("cancel_churn_ns_per_op", q.cancel_churn_ns);
+  w.kv("periodic_tick_ns_per_event", q.periodic_tick_ns);
+  w.kv("periodic_matches_chain", q.periodic_matches_chain);
   w.kv("churn_compactions", static_cast<double>(q.compactions));
   w.kv("events_fired_checksum", static_cast<double>(q.events_fired));
   w.end_object();

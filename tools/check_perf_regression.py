@@ -20,9 +20,11 @@ Checks, in order:
   * the parallel speedup vs --jobs 1, but only when neither record carries
     the single_core_host marker — one worker cannot speed anything up, so
     comparing that number across host classes is meaningless;
-  * ns/op and campaign wall-clock regressions vs the baseline, but only
-    when the baseline was recorded on the same host class (matching
-    host_cpus) — absolute timings are not comparable across machines.
+  * ns/op, campaign wall-clock and service admission-latency regressions
+    vs the baseline, and service throughput drops (higher is better, same
+    tolerance), but only when the baseline was recorded on the same host
+    class (matching host_cpus) — absolute timings are not comparable
+    across machines.  A metric the baseline does not carry yet is skipped.
 
 Exit code 0 = pass, 1 = regression/invariant failure, 2 = usage error.
 Stdlib only.
@@ -39,6 +41,7 @@ TIMED_METRICS = [
     ("event_queue", "schedule_fire_ns_per_event"),
     ("event_queue", "schedule_cancel_fire_ns_per_event"),
     ("event_queue", "cancel_churn_ns_per_op"),
+    ("event_queue", "periodic_tick_ns_per_event"),
     ("scaler", "fast_ns_per_step"),
     ("checkpoint", "every_0_seconds"),
     ("checkpoint", "every_10_seconds"),
@@ -46,12 +49,23 @@ TIMED_METRICS = [
     ("batch", "scalar_seconds"),
     ("batch", "batch_seconds"),
     ("pipeline", "campaign_seconds"),
+    ("service", "admission_latency_p50_us"),
+    ("service", "admission_latency_p99_us"),
+]
+
+# Timed metrics gated the same way, but "higher is better": the current
+# value may fall to baseline / (1 + tolerance) before it counts as a
+# regression (the same ratio bound as TIMED_METRICS, inverted).
+TIMED_METRICS_HIGHER = [
+    ("service", "submissions_per_sec"),
+    ("service", "completions_per_sec"),
 ]
 
 # Invariants that must be true in the current record, on any host.
 INVARIANT_FLAGS = [
     ("campaign", "identical_reports"),
     ("campaign", "identical_reports_with_faults"),
+    ("event_queue", "periodic_matches_chain"),
     ("scaler", "decisions_identical"),
     ("checkpoint", "journaled_reports_identical"),
     ("batch", "identical_reports"),
@@ -93,6 +107,38 @@ def get(record, section, key):
         return record[section][key]
     except (KeyError, TypeError):
         return None
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def gate_timed(baseline, current, section, key, tolerance, higher_is_better, failures):
+    """Gate one timed metric; the caller has already matched the host class."""
+    base = get(baseline, section, key)
+    cur = get(current, section, key)
+    if not is_number(base):
+        print(f"[SKIP] {section}.{key}: not in baseline (first record)")
+        return
+    if not is_number(cur):
+        failures.append(f"{section}.{key}: missing from current record")
+        return
+    if base <= 0:
+        print(f"[SKIP] {section}.{key}: non-positive baseline {base}")
+        return
+    if higher_is_better and cur <= 0:
+        failures.append(f"{section}.{key}: non-positive current value {cur}")
+        return
+    # Slowdown factor: > 1 means worse, whichever direction is better.
+    ratio = base / cur if higher_is_better else cur / base
+    status = "OK" if ratio <= 1.0 + tolerance else "FAIL"
+    change = (cur / base - 1.0) * 100.0
+    direction = "higher is better" if higher_is_better else "lower is better"
+    line = (f"[{status}] {section}.{key}: {cur:.3g} vs baseline {base:.3g} "
+            f"({change:+.1f}%, {direction}, tolerance {tolerance * 100.0:.0f}%)")
+    print(line)
+    if status == "FAIL":
+        failures.append(line)
 
 
 def main():
@@ -224,25 +270,9 @@ def main():
               f"current host_cpus={cur_cpus} (different host class)")
     else:
         for section, key in TIMED_METRICS:
-            base = get(baseline, section, key)
-            cur = get(current, section, key)
-            if not isinstance(base, (int, float)) or isinstance(base, bool):
-                print(f"[SKIP] {section}.{key}: not in baseline (first record)")
-                continue
-            if not isinstance(cur, (int, float)) or isinstance(cur, bool):
-                failures.append(f"{section}.{key}: missing from current record")
-                continue
-            if base <= 0:
-                print(f"[SKIP] {section}.{key}: non-positive baseline {base}")
-                continue
-            ratio = cur / base
-            status = "OK" if ratio <= 1.0 + args.tolerance else "FAIL"
-            line = (f"[{status}] {section}.{key}: {cur:.3g} vs baseline {base:.3g} "
-                    f"({(ratio - 1.0) * 100.0:+.1f}%, tolerance "
-                    f"{args.tolerance * 100.0:.0f}%)")
-            print(line)
-            if status == "FAIL":
-                failures.append(line)
+            gate_timed(baseline, current, section, key, args.tolerance, False, failures)
+        for section, key in TIMED_METRICS_HIGHER:
+            gate_timed(baseline, current, section, key, args.tolerance, True, failures)
 
     if failures:
         print("\nperf gate FAILED:", file=sys.stderr)

@@ -100,6 +100,10 @@ REQUIRED_HOT = [
     ("src/sim/event_queue.cpp",
      re.compile(r"bool\s+EventQueue::step\s*\("),
      "EventQueue::step"),
+    # Recurring-timer lane: every periodic controller tick fires here.
+    ("src/sim/event_queue.cpp",
+     re.compile(r"void\s+EventQueue::fire_timer\s*\("),
+     "EventQueue::fire_timer"),
     ("src/sim/event_queue.h",
      re.compile(r"std::uint32_t\s+acquire\s*\("),
      "EventSlab::acquire"),
