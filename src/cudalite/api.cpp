@@ -30,32 +30,34 @@ ThreadPool& Runtime::pool() {
   return *pool_;
 }
 
-void* Runtime::raw_alloc(std::size_t bytes, std::size_t alignment) {
+Runtime::RawAllocation Runtime::raw_alloc(std::size_t bytes, std::size_t alignment) {
   if (bytes == 0) throw std::invalid_argument("cudalite: zero-byte allocation");
   Allocation a;
   a.bytes = bytes;
-  a.storage = std::make_unique<std::byte[]>(bytes + alignment);
-  void* p = a.storage.get();
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  const std::uintptr_t aligned = (addr + alignment - 1) & ~(alignment - 1);
-  a.aligned = reinterpret_cast<void*>(aligned);
-  void* result = a.aligned;
+  a.id = next_allocation_id_++;
+  RawAllocation result{nullptr, a.id};
+  if (compute_enabled()) {
+    a.storage = std::make_unique<std::byte[]>(bytes + alignment);
+    const auto addr = reinterpret_cast<std::uintptr_t>(a.storage.get());
+    const std::uintptr_t aligned = (addr + alignment - 1) & ~(alignment - 1);
+    result.data = reinterpret_cast<void*>(aligned);
+    stats_.host_backed_bytes += bytes;
+  }
   allocations_.push_back(std::move(a));
   stats_.device_bytes_in_use += bytes;
   stats_.device_bytes_peak = std::max(stats_.device_bytes_peak, stats_.device_bytes_in_use);
   return result;
 }
 
-void Runtime::raw_free(void* p, std::size_t bytes) {
-  if (p == nullptr) return;
+void Runtime::raw_free(std::uint64_t id) {
+  if (id == 0) return;
   for (auto it = allocations_.begin(); it != allocations_.end(); ++it) {
-    if (it->aligned == p) {
+    if (it->id == id) {
       stats_.device_bytes_in_use -= it->bytes;
       allocations_.erase(it);
       return;
     }
   }
-  (void)bytes;
   throw std::invalid_argument("cudalite: free of unknown device pointer");
 }
 

@@ -96,32 +96,40 @@ class Runtime;
 ///    construction, because real kernel output never feeds the model.  This
 ///    is the cell-stepping mode of the batched campaign engine, which
 ///    memoizes one kFull execution per workload for verification instead.
+///    Device memory allocated in this mode has a size but no host backing:
+///    it charges the same device bytes and transfer time, but its `data()`
+///    is null, so a kernel that dereferences it faults at once instead of
+///    reading zeros.  Set the mode before the first `alloc`.
 enum class ComputeMode {
   kFull,
   kModelOnly,
 };
 
 /// Typed handle to device memory.  Device memory is owned by the Runtime and
-/// freed when the Runtime dies (or via Runtime::free).
+/// freed when the Runtime dies (or via Runtime::free).  A handle is
+/// identified by its allocation id, not its pointer: model-only
+/// allocations have no host storage.
 template <typename T>
 class DeviceBuffer {
  public:
   DeviceBuffer() = default;
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool valid() const { return data_ != nullptr; }
+  [[nodiscard]] bool valid() const { return id_ != 0; }
 
   /// Raw device-side pointer: cudalite kernels may touch device memory
   /// directly (they run on the host), mirroring `__global__` code
-  /// dereferencing device pointers.
+  /// dereferencing device pointers.  Null for a model-only allocation.
   [[nodiscard]] T* data() const { return data_; }
   [[nodiscard]] T& operator[](std::size_t i) const { return data_[i]; }
 
  private:
   friend class Runtime;
-  DeviceBuffer(T* data, std::size_t size) : data_(data), size_(size) {}
+  DeviceBuffer(T* data, std::size_t size, std::uint64_t id)
+      : data_(data), size_(size), id_(id) {}
   T* data_{nullptr};
   std::size_t size_{0};
+  std::uint64_t id_{0};
 };
 
 /// In-order execution stream backed by the per-device StreamScheduler: ops
@@ -179,6 +187,9 @@ struct RuntimeStats {
   std::uint64_t peak_stream_depth{0};
   std::size_t device_bytes_in_use{0};
   std::size_t device_bytes_peak{0};
+  /// Device bytes allocated with host storage behind them, summed over every
+  /// allocation; stays 0 in ComputeMode::kModelOnly.
+  std::uint64_t host_backed_bytes{0};
   /// Fault-layer accounting: transient failures re-drawn within a launch
   /// call, and launches/host submissions that failed for good.
   std::uint64_t launch_retries{0};
@@ -236,14 +247,16 @@ class Runtime {
   [[nodiscard]] std::size_t current_device() const { return current_device_; }
 
   // --- Device memory ------------------------------------------------------
+  /// Allocate `count` elements.  kFull backs them with zeroed host storage;
+  /// kModelOnly only accounts the bytes (see ComputeMode).
   template <typename T>
   DeviceBuffer<T> alloc(std::size_t count) {
-    void* p = raw_alloc(count * sizeof(T), alignof(T));
-    return DeviceBuffer<T>{static_cast<T*>(p), count};
+    const RawAllocation a = raw_alloc(count * sizeof(T), alignof(T));
+    return DeviceBuffer<T>{static_cast<T*>(a.data), count, a.id};
   }
   template <typename T>
   void free(DeviceBuffer<T>& buf) {
-    raw_free(buf.data(), buf.size() * sizeof(T));
+    raw_free(buf.id_);
     buf = DeviceBuffer<T>{};
   }
 
@@ -265,9 +278,11 @@ class Runtime {
     if (compute_enabled()) std::copy(src.data(), src.data() + count, dst);
     charge_transfer(count * sizeof(T), /*h2d=*/false);
   }
+  /// Sizes `dst` to the buffer and copies into it; model-only charges the
+  /// same bytes and leaves `dst` untouched (no host result nobody reads).
   template <typename T>
   void memcpy_d2h(std::vector<T>& dst, const DeviceBuffer<T>& src) {
-    dst.resize(src.size());
+    if (compute_enabled()) dst.resize(src.size());
     memcpy_d2h(dst.data(), src, src.size());
   }
 
@@ -351,8 +366,12 @@ class Runtime {
   void wait_until(const std::function<bool()>& done) { run_queue_until(done); }
 
  private:
-  void* raw_alloc(std::size_t bytes, std::size_t alignment);
-  void raw_free(void* p, std::size_t bytes);
+  struct RawAllocation {
+    void* data{nullptr};  // null when model-only
+    std::uint64_t id{0};
+  };
+  RawAllocation raw_alloc(std::size_t bytes, std::size_t alignment);
+  void raw_free(std::uint64_t id);
   /// Blocking transfer: submits to the current device's copy engine and
   /// drives the queue until it completes (host spins meanwhile, if
   /// sync_spin).  With an idle engine this reproduces the synchronous
@@ -393,11 +412,12 @@ class Runtime {
   std::vector<std::unique_ptr<StreamScheduler>> schedulers_;
 
   struct Allocation {
-    std::unique_ptr<std::byte[]> storage;
-    void* aligned{nullptr};
+    std::unique_ptr<std::byte[]> storage;  // null when model-only
+    std::uint64_t id{0};
     std::size_t bytes{0};
   };
   std::vector<Allocation> allocations_;
+  std::uint64_t next_allocation_id_{1};
 };
 
 }  // namespace gg::cudalite

@@ -182,6 +182,7 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
         ++row.full_runs;
       } else {
         ++row.model_runs;
+        row.model_only_host_bytes += s->engine->runtime().stats().host_backed_bytes;
         if (!base_model_only) {
           result.verified = need_verify ? memo_verified : true;
           result.verify_skipped = need_verify ? memo_skipped : true;
@@ -196,6 +197,7 @@ void BatchCampaignEngine::run(std::vector<CampaignCell>& cells, const Hooks& hoo
     stats_.model_runs += row.model_runs;
     stats_.forked_cells += row.forked_cells;
     stats_.prefix_iterations_saved += row.prefix_iterations_saved;
+    stats_.model_only_host_bytes += row.model_only_host_bytes;
   });
 }
 

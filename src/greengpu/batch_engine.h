@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -59,6 +60,9 @@ class BatchCampaignEngine {
     std::size_t forked_cells{0};
     /// Warm-up iterations those forks did not have to re-simulate.
     std::size_t prefix_iterations_saved{0};
+    /// Device bytes the model-only cells backed with host storage
+    /// (RuntimeStats::host_backed_bytes); 0 when they build nothing.
+    std::uint64_t model_only_host_bytes{0};
   };
 
   /// `plan` and `options` must outlive the engine.  `jobs` as in

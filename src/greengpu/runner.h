@@ -225,6 +225,8 @@ class ExperimentEngine {
   void restore_prefix(common::SnapshotReader& r);
 
   [[nodiscard]] sim::Platform& platform() { return *platform_; }
+  /// The run's cudalite runtime (valid after start()).
+  [[nodiscard]] const cudalite::Runtime& runtime() const { return *rt_; }
 
  private:
   void install_faults();

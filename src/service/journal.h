@@ -37,7 +37,8 @@ enum class RecordKind : std::uint64_t {
 
 /// The executor claimed a request.  Journaled *before* execution so the
 /// claim order — which in a live daemon depends on how admissions interleave
-/// with the executor — is durable: a resumed daemon re-runs the claimed
+/// with the executor — survives process death (the journal is flushed, not
+/// fsync'ed, so not an OS crash): a resumed daemon re-runs the claimed
 /// request first instead of letting the rebuilt queue reorder history.
 struct StartRecord {
   std::uint64_t seq{0};

@@ -60,6 +60,8 @@ class Bfs final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  /// Build the immutable in-edge CSR graph from the config.
+  void generate_inputs();
   [[nodiscard]] Reference reference() const;
 
   BfsConfig config_;

@@ -60,6 +60,8 @@ class Hotspot final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  /// Fill the immutable inputs (initial grid, power map) from the config.
+  void generate_inputs();
   void step_rows(std::size_t begin, std::size_t end);
   static void reference_step(const std::vector<double>& in, std::vector<double>& out,
                              const std::vector<double>& power, std::size_t rows,

@@ -51,7 +51,9 @@ void reference_step(const std::vector<double>& points, std::vector<double>& cent
 }
 }  // namespace
 
-Kmeans::Kmeans(KmeansConfig config) : config_(config) {
+Kmeans::Kmeans(KmeansConfig config) : config_(config) {}
+
+void Kmeans::generate_inputs() {
   Rng rng(config_.seed);
   const std::size_t n = config_.points;
   const std::size_t dims = config_.dims;
@@ -70,19 +72,22 @@ Kmeans::Kmeans(KmeansConfig config) : config_(config) {
   // Initial centroids: the first k points (the Rodinia convention).
   initial_centroids_.assign(host_points_.begin(),
                             host_points_.begin() + static_cast<std::ptrdiff_t>(k * dims));
-  centroids_ = initial_centroids_;
-  assignments_.assign(n, 0);
 }
 
 IntensityProfile Kmeans::profile(std::size_t /*iter*/) const { return config_.profile; }
 
 void Kmeans::setup(cudalite::Runtime& rt) {
-  dev_points_ = rt.alloc<double>(host_points_.size());
-  dev_centroids_ = rt.alloc<double>(centroids_.size());
-  rt.memcpy_h2d(dev_points_, host_points_);
-  rt.memcpy_h2d(dev_centroids_, centroids_);
-  centroids_ = initial_centroids_;
-  assignments_.assign(config_.points, 0);
+  const std::size_t point_elems = config_.points * config_.dims;
+  const std::size_t centroid_elems = config_.clusters * config_.dims;
+  if (rt.compute_enabled()) {
+    generate_inputs();
+    centroids_ = initial_centroids_;
+    assignments_.assign(config_.points, 0);
+  }
+  dev_points_ = rt.alloc<double>(point_elems);
+  dev_centroids_ = rt.alloc<double>(centroid_elems);
+  rt.memcpy_h2d(dev_points_, host_points_.data(), point_elems);
+  rt.memcpy_h2d(dev_centroids_, centroids_.data(), centroid_elems);
   ran_ = false;
 }
 
@@ -133,14 +138,15 @@ void Kmeans::finish_iteration(cudalite::Runtime& rt, std::size_t /*iter*/) {
       }
     }
   }
-  rt.memcpy_h2d(dev_centroids_, centroids_);
+  rt.memcpy_h2d(dev_centroids_, centroids_.data(), config_.clusters * config_.dims);
 }
 
 void Kmeans::teardown(cudalite::Runtime& rt) {
   rt.memcpy_d2h(result_centroids_, dev_centroids_);
   rt.free(dev_points_);
   rt.free(dev_centroids_);
-  ran_ = true;
+  // A model-only run built no inputs, so it has no result to verify.
+  ran_ = rt.compute_enabled();
 }
 
 Kmeans::Reference Kmeans::reference() const {

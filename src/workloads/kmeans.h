@@ -63,6 +63,8 @@ class Kmeans final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  /// Fill the immutable inputs (points, initial centroids) from the config.
+  void generate_inputs();
   void assign_range(const double* points, std::size_t begin, std::size_t end);
   /// Serial rerun of the whole algorithm from the initial state.
   [[nodiscard]] Reference reference() const;

@@ -29,6 +29,9 @@ KmeansPipeline::KmeansPipeline(KmeansPipelineConfig config) : config_(config) {
   if (config_.stream_depth == 0) {
     throw std::invalid_argument("KmeansPipeline: stream_depth must be >= 1");
   }
+}
+
+void KmeansPipeline::generate_inputs() {
   Rng rng(config_.seed);
   const std::size_t n = config_.points;
   const std::size_t dims = config_.dims;
@@ -44,8 +47,6 @@ KmeansPipeline::KmeansPipeline(KmeansPipelineConfig config) : config_(config) {
   }
   initial_centroids_.assign(host_points_.begin(),
                             host_points_.begin() + static_cast<std::ptrdiff_t>(k * dims));
-  centroids_ = initial_centroids_;
-  chunk_assign_.assign(n, 0);
 }
 
 IntensityProfile KmeansPipeline::profile(std::size_t /*iter*/) const {
@@ -70,13 +71,16 @@ void KmeansPipeline::setup(cudalite::Runtime& rt) {
     dev_points_.push_back(rt.alloc<double>(max_chunk * config_.dims));
     dev_assign_.push_back(rt.alloc<int>(max_chunk));
   }
-  dev_centroids_ = rt.alloc<double>(centroids_.size());
-  centroids_ = initial_centroids_;
-  chunk_assign_.assign(config_.points, 0);
-  partial_sums_.assign(config_.chunks,
-                       std::vector<double>(config_.clusters * config_.dims, 0.0));
-  partial_counts_.assign(config_.chunks, std::vector<std::size_t>(config_.clusters, 0));
-  rt.memcpy_h2d(dev_centroids_, centroids_);
+  const std::size_t centroid_elems = config_.clusters * config_.dims;
+  dev_centroids_ = rt.alloc<double>(centroid_elems);
+  if (rt.compute_enabled()) {
+    generate_inputs();
+    centroids_ = initial_centroids_;
+    chunk_assign_.assign(config_.points, 0);
+    partial_sums_.assign(config_.chunks, std::vector<double>(centroid_elems, 0.0));
+    partial_counts_.assign(config_.chunks, std::vector<std::size_t>(config_.clusters, 0));
+  }
+  rt.memcpy_h2d(dev_centroids_, centroids_.data(), centroid_elems);
   streams_.clear();
   if (config_.pipelined) {
     // One copy stream + one compute stream per double-buffer slot.
@@ -157,6 +161,7 @@ void KmeansPipeline::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*st
                         platform.gpu().mem_table().peak(), profile(iter), 1.0);
   pending_d2h_ = config_.chunks;
   pending_reduce_ = config_.chunks;
+  const bool compute = rt.compute_enabled();
 
   for (std::size_t c = 0; c < config_.chunks; ++c) {
     const std::size_t slot = config_.pipelined ? c % config_.stream_depth : 0;
@@ -164,10 +169,13 @@ void KmeansPipeline::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*st
     cudalite::Stream& ks = streams_[config_.pipelined ? 2 * slot + 1 : 0];
     const std::size_t begin = chunk_begin(c);
     const std::size_t count = chunk_begin(c + 1) - begin;
+    // Host regions of the chunk; a model-only run has none.
+    const double* points = compute ? host_points_.data() + begin * config_.dims : nullptr;
+    int* assign = compute ? chunk_assign_.data() + begin : nullptr;
 
     // Stage 1: upload the chunk's points into the slot buffer.
-    rt.memcpy_h2d_async(cs, dev_points_[slot], &host_points_[begin * config_.dims],
-                        count * config_.dims, config_.sim_h2d_bytes);
+    rt.memcpy_h2d_async(cs, dev_points_[slot], points, count * config_.dims,
+                        config_.sim_h2d_bytes);
     if (config_.pipelined) {
       // Compute must not start before the slot's upload landed.
       const cudalite::Event uploaded = rt.record_event(cs);
@@ -188,14 +196,14 @@ void KmeansPipeline::run_iteration(cudalite::Runtime& rt, cudalite::Stream& /*st
         faults->note(sim::FaultChannel::kHarness, sim::FaultOutcome::kForcedCompletion,
                      ks.device());
       }
-      if (rt.compute_enabled()) assign_chunk(slot, 0, count);
+      if (compute) assign_chunk(slot, 0, count);
     }
 
     // Stage 3: download the chunk's assignments into its own host region
     // (per-chunk, never per-slot: the eager copy of a later chunk must not
     // clobber data this chunk's reduce stage reads at simulated time).
     rt.memcpy_d2h_async(
-        ks, &chunk_assign_[begin], dev_assign_[slot], count, config_.sim_d2h_bytes,
+        ks, assign, dev_assign_[slot], count, config_.sim_d2h_bytes,
         [this, &rt, c, on_gpu_done, on_cpu_done] GG_PIPELINE_STAGE {
           submit_reduce(rt, c, on_cpu_done);
           if (--pending_d2h_ == 0 && on_gpu_done) on_gpu_done();
@@ -247,7 +255,7 @@ void KmeansPipeline::finish_iteration(cudalite::Runtime& rt, std::size_t /*iter*
       }
     }
   }
-  rt.memcpy_h2d(dev_centroids_, centroids_);
+  rt.memcpy_h2d(dev_centroids_, centroids_.data(), config_.clusters * config_.dims);
 }
 
 void KmeansPipeline::teardown(cudalite::Runtime& rt) {
@@ -258,7 +266,8 @@ void KmeansPipeline::teardown(cudalite::Runtime& rt) {
   dev_points_.clear();
   dev_assign_.clear();
   streams_.clear();
-  ran_ = true;
+  // A model-only run built no inputs, so it has no result to verify.
+  ran_ = rt.compute_enabled();
 }
 
 KmeansPipeline::Reference KmeansPipeline::reference() const {

@@ -84,6 +84,8 @@ class KmeansPipeline final : public Workload {
   [[nodiscard]] const std::vector<double>& centroids() const { return centroids_; }
 
  private:
+  /// Fill the immutable inputs (points, initial centroids) from the config.
+  void generate_inputs();
   /// Balanced chunk ranges: chunk c covers [chunk_begin(c), chunk_begin(c+1)).
   [[nodiscard]] std::size_t chunk_begin(std::size_t c) const;
   /// Assign points [b, e) (chunk-local indices) from the slot buffer — the

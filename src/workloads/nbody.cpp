@@ -12,34 +12,35 @@ namespace {
 constexpr double kSoftening2 = 1e-3;  // softened gravity, avoids singularities
 }
 
-Nbody::Nbody(NbodyConfig config) : config_(config) {
+Nbody::Nbody(NbodyConfig config) : config_(config) {}
+
+void Nbody::generate_inputs() {
   Rng rng(config_.seed);
   const std::size_t n = config_.bodies;
-  pos_in_.resize(3 * n);
-  vel_in_.resize(3 * n);
+  initial_pos_.resize(3 * n);
+  initial_vel_.resize(3 * n);
   mass_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (int d = 0; d < 3; ++d) {
-      pos_in_[3 * i + d] = rng.uniform(-1.0, 1.0);
-      vel_in_[3 * i + d] = rng.uniform(-0.1, 0.1);
+      initial_pos_[3 * i + d] = rng.uniform(-1.0, 1.0);
+      initial_vel_[3 * i + d] = rng.uniform(-0.1, 0.1);
     }
     mass_[i] = rng.uniform(0.5, 1.5);
   }
-  initial_pos_ = pos_in_;
-  initial_vel_ = vel_in_;
-  pos_out_ = pos_in_;
-  vel_out_ = vel_in_;
 }
 
 IntensityProfile Nbody::profile(std::size_t /*iter*/) const { return config_.profile; }
 
 void Nbody::setup(cudalite::Runtime& rt) {
-  pos_in_ = initial_pos_;
-  vel_in_ = initial_vel_;
-  pos_out_ = pos_in_;
-  vel_out_ = vel_in_;
-  dev_pos_ = rt.alloc<double>(pos_in_.size());
-  rt.memcpy_h2d(dev_pos_, pos_in_);
+  if (rt.compute_enabled()) {
+    generate_inputs();
+    pos_in_ = initial_pos_;
+    vel_in_ = initial_vel_;
+    pos_out_ = pos_in_;
+    vel_out_ = vel_in_;
+  }
+  dev_pos_ = rt.alloc<double>(3 * config_.bodies);
+  rt.memcpy_h2d(dev_pos_, pos_in_.data(), 3 * config_.bodies);
   ran_ = false;
 }
 
@@ -82,10 +83,11 @@ void Nbody::finish_iteration(cudalite::Runtime& /*rt*/, std::size_t /*iter*/) {
 }
 
 void Nbody::teardown(cudalite::Runtime& rt) {
-  rt.memcpy_h2d(dev_pos_, pos_in_);
+  rt.memcpy_h2d(dev_pos_, pos_in_.data(), 3 * config_.bodies);
   rt.memcpy_d2h(result_pos_, dev_pos_);
   rt.free(dev_pos_);
-  ran_ = true;
+  // A model-only run built no inputs, so it has no result to verify.
+  ran_ = rt.compute_enabled();
 }
 
 Nbody::Reference Nbody::reference() const {

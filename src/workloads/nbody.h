@@ -55,6 +55,8 @@ class Nbody final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  /// Fill the immutable inputs (initial state, masses) from the config.
+  void generate_inputs();
   void step_range(std::size_t begin, std::size_t end);
   [[nodiscard]] Reference reference() const;
 

@@ -2,7 +2,9 @@
 //
 // A workload's scalar reference — the serial rerun `verify()` compares the
 // divided, clocked execution against — is a pure function of its config:
-// every input is generated from the config (seed included) at construction.
+// every input is generated from the config (seed included) in a full-compute
+// `setup` (constructors are config-only, see workload.h).  Only an instance
+// that ran with compute on may consult the memo.
 // Cells that share a config (one workload under several policies, fault
 // replicates, repeated greengpud requests) therefore share one reference.
 //

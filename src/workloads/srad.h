@@ -56,6 +56,8 @@ class Srad final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  /// Fill the immutable input image from the config.
+  void generate_inputs();
   void step_rows(const std::vector<double>& in, std::vector<double>& out,
                  std::size_t begin, std::size_t end) const;
   [[nodiscard]] Reference reference() const;

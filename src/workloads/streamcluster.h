@@ -68,6 +68,8 @@ class Streamcluster final : public ProfiledWorkload {
   void cpu_chunk(std::size_t begin, std::size_t end, std::size_t iter) override;
 
  private:
+  /// Fill the immutable point coordinates from the config.
+  void generate_inputs();
   [[nodiscard]] std::size_t candidate_for(std::size_t iter) const;
   [[nodiscard]] double dist2(std::size_t a, std::size_t b) const;
   [[nodiscard]] Reference reference() const;

@@ -10,7 +10,13 @@
 // Workloads REALLY compute: `setup` builds real inputs, the per-iteration
 // chunk functions run actual kernels on the cudalite pool, and `verify`
 // checks the final output against a scalar reference (computed once per
-// config, see reference_memo.h).  In parallel, each workload carries an
+// config, see reference_memo.h).  Constructors are config-only: they
+// validate the config and build nothing.  `setup` generates the inputs (a
+// pure function of the config, seed included) and the per-run state, and
+// only when the runtime computes (`Runtime::compute_enabled()`); a
+// model-only run builds no host data at all, so every simulated size
+// (allocations, transfer bytes) comes from the config, never from a host
+// vector.  In parallel, each workload carries an
 // `IntensityProfile` per iteration that drives the simulated timing/energy
 // (calibrated to the Table II utilization classes with the paper's enlarged
 // problem sizes).
@@ -50,7 +56,8 @@ class Workload {
   /// this with the iteration index).
   [[nodiscard]] virtual IntensityProfile profile(std::size_t iter) const = 0;
 
-  /// Allocate device buffers and copy inputs (charges simulated H2D time).
+  /// Build the inputs and per-run state (only when `rt.compute_enabled()`),
+  /// allocate device buffers and copy inputs (charges simulated H2D time).
   virtual void setup(cudalite::Runtime& rt) = 0;
 
   /// Launch iteration `iter` with CPU share `cpu_ratio` (clamped to 0 when
@@ -80,7 +87,10 @@ class Workload {
   virtual void teardown(cudalite::Runtime& rt) = 0;
 
   /// Check this instance's final results against the scalar reference; call
-  /// after a full run + teardown (false otherwise).  The reference is a pure
+  /// after a full run + teardown (false otherwise, and false after a
+  /// model-only run, which built no inputs: such a call must never reach
+  /// the reference memo, or it would store a reference of empty inputs for
+  /// the config).  The reference is a pure
   /// function of the workload's config, so implementations may share it
   /// across instances through reference_memo.h; the comparison itself always
   /// reads this instance's own results, so every run is checked.

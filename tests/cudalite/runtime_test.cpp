@@ -206,5 +206,61 @@ TEST_F(RuntimeTest, StreamOutstandingCount) {
   EXPECT_EQ(stream.outstanding(), 0u);
 }
 
+TEST_F(RuntimeTest, FullModeBacksDeviceMemory) {
+  auto buf = rt_.alloc<double>(16);
+  ASSERT_NE(buf.data(), nullptr);
+  EXPECT_EQ(buf[3], 0.0);  // zero-filled
+  EXPECT_EQ(rt_.stats().host_backed_bytes, 128u);
+}
+
+TEST_F(RuntimeTest, ModelOnlyBufferHasSizeButNoHostBacking) {
+  rt_.set_compute_mode(ComputeMode::kModelOnly);
+  auto buf = rt_.alloc<double>(1024);
+  EXPECT_TRUE(buf.valid());
+  EXPECT_EQ(buf.size(), 1024u);
+  EXPECT_EQ(buf.data(), nullptr);
+  EXPECT_EQ(rt_.stats().device_bytes_in_use, 8192u);
+  EXPECT_EQ(rt_.stats().device_bytes_peak, 8192u);
+  EXPECT_EQ(rt_.stats().host_backed_bytes, 0u);
+
+  // Transfers charge exactly what a full run charges; the host side is
+  // never touched, and the D2H destination is not resized.
+  const std::vector<double> host(1024, 1.0);
+  const Seconds before = platform_.now();
+  rt_.memcpy_h2d(buf, host);
+  EXPECT_NEAR((platform_.now() - before).get(),
+              platform_.bus().transfer_time(8192.0).get(), 1e-12);
+  std::vector<double> back;
+  rt_.memcpy_d2h(back, buf);
+  EXPECT_TRUE(back.empty());
+  EXPECT_EQ(rt_.stats().bytes_h2d, 8192u);
+  EXPECT_EQ(rt_.stats().bytes_d2h, 8192u);
+  EXPECT_THROW(rt_.memcpy_h2d(buf, std::vector<double>(1025)), std::out_of_range);
+
+  // Identity is the allocation, not the (null) pointer.
+  auto other = rt_.alloc<double>(8);
+  auto stale = other;
+  rt_.free(buf);
+  EXPECT_FALSE(buf.valid());
+  EXPECT_EQ(rt_.stats().device_bytes_in_use, 64u);
+  rt_.free(other);
+  EXPECT_THROW(rt_.free(stale), std::invalid_argument);
+  EXPECT_EQ(rt_.stats().device_bytes_in_use, 0u);
+}
+
+TEST(RuntimeModelOnlyDeathTest, DereferencingModelOnlyBufferDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::Platform platform;
+        Runtime rt(platform, /*pool_workers=*/1);
+        rt.set_compute_mode(ComputeMode::kModelOnly);
+        auto buf = rt.alloc<double>(64);
+        volatile double* p = buf.data();
+        p[0] = 1.0;
+      },
+      "");
+}
+
 }  // namespace
 }  // namespace gg::cudalite

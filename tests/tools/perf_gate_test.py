@@ -4,7 +4,8 @@
 Each case writes a small baseline/current JSON pair into a temp directory,
 runs the gate as CI does and checks its exit code and report lines:
   * a missing baseline skips the gate (exit 0);
-  * a false invariant flag fails it on any host;
+  * a false invariant flag fails it on any host, and a record without one
+    fails too;
   * a timed regression fails on a matching host_cpus and is skipped on a
     different one;
   * a timed metric the baseline does not carry yet is skipped;
@@ -36,6 +37,7 @@ def passing_record(host_cpus=4):
         "scaler": {"decisions_identical": True, "speedup_fast_vs_reference": 2.0},
         "checkpoint": {"journaled_reports_identical": True},
         "batch": {"identical_reports": True, "identical_reports_across_jobs": True,
+                  "model_cells_unbacked": True, "model_only_host_bytes": 0,
                   "speedup_vs_scalar": 10.0},
         "pipeline": {"all_verified": True, "pipelined_energy_lower": True,
                      "identical_reports_across_jobs": True,
@@ -96,6 +98,16 @@ def main():
     other_host["host_cpus"] = 8
     expect("false_invariant_any_host", base, other_host, 1,
            "event_queue.periodic_matches_chain: expected true")
+
+    backed = copy.deepcopy(base)
+    backed["batch"]["model_only_host_bytes"] = 4096
+    backed["batch"]["model_cells_unbacked"] = False
+    expect("model_cells_backed", base, backed, 1,
+           "batch.model_cells_unbacked: expected true, got False")
+    no_flag = copy.deepcopy(base)
+    del no_flag["batch"]["model_cells_unbacked"]
+    expect("model_cells_flag_missing", base, no_flag, 1,
+           "batch.model_cells_unbacked: missing from current record")
 
     slow = copy.deepcopy(base)
     slow["event_queue"]["periodic_tick_ns_per_event"] = 40.0

@@ -54,6 +54,15 @@ TEST(KmeansKernel, SeedChangesData) {
   KmeansConfig b = a;
   b.seed = a.seed + 1;
   Kmeans wa(a), wb(b);
+  // Constructors are config-only; a full-compute setup generates the inputs
+  // and starts from the seeded initial centroids.
+  EXPECT_TRUE(wa.centroids().empty());
+  sim::Platform platform;
+  cudalite::Runtime rt(platform, /*pool_workers=*/1);
+  wa.setup(rt);
+  wb.setup(rt);
+  ASSERT_EQ(wa.centroids().size(), a.clusters * a.dims);
+  ASSERT_EQ(wb.centroids().size(), b.clusters * b.dims);
   EXPECT_NE(wa.centroids()[0], wb.centroids()[0]);
 }
 

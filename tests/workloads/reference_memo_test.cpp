@@ -110,11 +110,12 @@ std::vector<MemoCase> memo_cases() {
 
 /// Run `iterations` iterations (0 = all) through setup, the iteration loop
 /// and teardown, then ask the workload itself for its verdict.
-bool run_and_verify(Workload& wl, std::size_t iterations = 0) {
+bool run_and_verify(Workload& wl, std::size_t iterations = 0, bool model_only = false) {
   greengpu::RunOptions o;
   o.pool_workers = 2;
   o.verify = false;
   o.max_iterations = iterations;
+  o.model_only = model_only;
   (void)greengpu::run_experiment(wl, greengpu::Policy::best_performance(), o);
   return wl.verify();
 }
@@ -171,8 +172,28 @@ TEST_P(ReferenceMemoTest, ColdAndWarmVerdictsAgree) {
 
 TEST_P(ReferenceMemoTest, VerifyBeforeAnyRunIsFalse) {
   const MemoCase& c = GetParam();
+  const ReferenceMemoStats before = c.stats();
   const WorkloadPtr wl = c.make(4001);
   EXPECT_FALSE(wl->verify());
+  EXPECT_EQ(c.stats().computed, before.computed);
+  EXPECT_EQ(c.stats().entries, before.entries);
+}
+
+TEST_P(ReferenceMemoTest, ModelOnlyRunLeavesMemoUntouched) {
+  const MemoCase& c = GetParam();
+  // A model-only run builds no inputs: its verify() is false, and it must
+  // not store a reference computed from empty inputs for the config.
+  const ReferenceMemoStats before = c.stats();
+  const WorkloadPtr model = c.make(6001);
+  EXPECT_FALSE(run_and_verify(*model, 0, /*model_only=*/true));
+  EXPECT_EQ(c.stats().computed, before.computed);
+  EXPECT_EQ(c.stats().entries, before.entries);
+
+  // A later full run of the same config computes the real reference.
+  const WorkloadPtr full = c.make(6001);
+  EXPECT_TRUE(run_and_verify(*full));
+  EXPECT_EQ(c.stats().computed, before.computed + 1);
+  EXPECT_EQ(c.stats().entries, before.entries + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, ReferenceMemoTest, ::testing::ValuesIn(memo_cases()),

@@ -11,8 +11,9 @@
 //     speedups across host classes,
 //   * times the batch campaign engine against the scalar engine on a
 //     fault-replicate sweep (the batch engine's target shape: many cells
-//     per workload sharing a warm-up prefix) and asserts the two engines'
-//     reports are byte-identical at every --jobs value,
+//     per workload sharing a warm-up prefix), asserts the two engines'
+//     reports are byte-identical at every --jobs value, and counts the host
+//     bytes behind the sweep's model-only device memory (must be 0),
 //   * times the sim::EventQueue hot paths (schedule/fire, cancelled-entry
 //     ride-along, DVFS-style cancel churn, recurring-timer ticks) in ns per
 //     event, and asserts a seeded mixed schedule fires identically through
@@ -43,6 +44,7 @@
 #include "src/common/rng.h"
 #include "src/cudalite/nvml.h"
 #include "src/cudalite/nvsettings.h"
+#include "src/greengpu/batch_engine.h"
 #include "src/greengpu/campaign.h"
 #include "src/greengpu/recovery.h"
 #include "src/greengpu/runner.h"
@@ -445,6 +447,18 @@ int main(int argc, char** argv) {
               batch_jobs_identical ? "OK" : "FAIL",
               batch_jobs_identical ? "identical" : "DIFFER");
   ok = batch_jobs_identical && ok;
+  // Count gate, not a clock: the sweep's model-only cells must build no
+  // host data, so none of their device memory may have host storage.
+  const greengpu::CampaignPlan sweep_plan = greengpu::plan_campaign(sweep_batch);
+  std::vector<greengpu::CampaignCell> sweep_cells(sweep_plan.total());
+  greengpu::BatchCampaignEngine sweep_engine(sweep_plan, sweep_batch.options,
+                                             sweep_batch.jobs);
+  sweep_engine.run(sweep_cells);
+  const std::uint64_t model_host_bytes = sweep_engine.stats().model_only_host_bytes;
+  std::printf("[%s] model-only cells' host-backed device bytes: %llu\n",
+              model_host_bytes == 0 ? "OK" : "FAIL",
+              static_cast<unsigned long long>(model_host_bytes));
+  ok = model_host_bytes == 0 && ok;
 
   // Pipeline workloads: the asynchronous multi-stream schedule vs the
   // synchronous baseline, in simulated seconds and joules (both sides run
@@ -624,6 +638,8 @@ int main(int argc, char** argv) {
   w.kv("speedup_vs_scalar", batch_speedup);
   w.kv("identical_reports", b_scalar.csv == b_batch.csv && b_scalar.json == b_batch.json);
   w.kv("identical_reports_across_jobs", batch_jobs_identical);
+  w.kv("model_only_host_bytes", static_cast<double>(model_host_bytes));
+  w.kv("model_cells_unbacked", model_host_bytes == 0);
   w.end_object();
   w.key("pipeline");
   w.begin_object();

@@ -70,6 +70,9 @@ INVARIANT_FLAGS = [
     ("checkpoint", "journaled_reports_identical"),
     ("batch", "identical_reports"),
     ("batch", "identical_reports_across_jobs"),
+    # Model-only campaign cells build nothing: their device memory has no
+    # host storage (a count, so it holds on any host).
+    ("batch", "model_cells_unbacked"),
     ("pipeline", "all_verified"),
     ("pipeline", "pipelined_energy_lower"),
     ("pipeline", "identical_reports_across_jobs"),
