@@ -207,6 +207,38 @@ void BM_EventQueuePeriodicTick(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePeriodicTick);
 
+void BM_GovernorQuiescentSpan(benchmark::State& state) {
+  // The ondemand governor on a spinning CPU (the synchronous stack waiting
+  // on the GPU) beside a 3 s scaler-style timer: every governor tick past
+  // the first is quiescent.  Arg 1 attaches the governor, whose ticks run
+  // in spans (one dispatch per run of ticks); Arg 0 fires the same step()
+  // from a plain timer, one dispatch per tick.  Items are governor ticks.
+  const bool spans = state.range(0) != 0;
+  std::int64_t ticks = 0;
+  for (auto _ : state) {
+    sim::Platform platform;
+    sim::EventQueue& q = platform.queue();
+    greengpu::OndemandGovernor gov(platform, greengpu::OndemandParams{});
+    gov.set_record(greengpu::RecordOptions{greengpu::RecordMode::kCounters, 0});
+    platform.cpu().set_spinning(true);
+    sim::EventHandle per_tick;
+    if (spans) {
+      gov.attach();
+    } else {
+      per_tick = q.schedule_every(0.1_s, 0.1_s, [&gov, &q] { gov.step(q.now()); });
+    }
+    sim::EventHandle scaler = q.schedule_every(3_s, 3_s, [] {});
+    q.run_until(300_s);
+    per_tick.cancel();
+    scaler.cancel();
+    gov.detach();
+    ticks += static_cast<std::int64_t>(gov.steps());
+    benchmark::DoNotOptimize(platform.cpu().energy().get());
+  }
+  state.SetItemsProcessed(ticks);
+}
+BENCHMARK(BM_GovernorQuiescentSpan)->Arg(0)->Arg(1);
+
 void BM_GpuKernelCycle(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventQueue q;

@@ -18,18 +18,66 @@ GovernorDecision CpuGovernor::step(Seconds now) {
   const double u = sampler_.sample();
   const std::size_t level = decide(u);
   platform_->cpu().set_level(level);
-  ++steps_;
-  const GovernorDecision d{now, u, level};
-  decisions_.push(d);
-  return d;
+  record(now, u, level);
+  return GovernorDecision{now, u, level};
+}
+
+// step(), tick after tick, for as long as the CPU's state holds: its rates
+// are taken once, and set_level() is skipped while the level stays (it
+// would only re-account a zero-length window).  Returns after the first
+// tick that moves the level — that can reschedule a CPU completion and so
+// the span's bound — or at the bound.
+template <typename Decide>
+GG_HOT void CpuGovernor::run_span(sim::TimerSpan& span, Decide decide) {
+  sim::CpuDevice& cpu = platform_->cpu();
+  const sim::CpuDevice::Rates rates = cpu.rates();
+  const std::size_t level = cpu.level();
+  do {
+    const Seconds now = span.now();
+    cpu.account(rates);
+    const double u = sampler_.sample(cpu.accounted_counters(), now);
+    const std::size_t next = decide(u);
+    if (next != level) {
+      cpu.set_level(next);
+      record(now, u, next);
+      return;
+    }
+    record(now, u, next);
+  } while (span.advance());
+}
+
+template <typename Decide>
+sim::EventHandle CpuGovernor::schedule_quiescent_spans(Seconds first, Decide decide) {
+  return platform_->queue().schedule_every(
+      first, interval_, [this, decide](sim::TimerSpan& span) { run_span(span, decide); });
+}
+
+sim::EventHandle CpuGovernor::schedule_ticks(Seconds first) {
+  return platform_->queue().schedule_every(first, interval_,
+                                           [this] { step(platform_->queue().now()); });
+}
+
+sim::EventHandle PerformanceGovernor::schedule_ticks(Seconds first) {
+  return schedule_quiescent_spans(first, [this](double u) { return decide(u); });
+}
+
+sim::EventHandle PowersaveGovernor::schedule_ticks(Seconds first) {
+  return schedule_quiescent_spans(first, [this](double u) { return decide(u); });
+}
+
+sim::EventHandle OndemandGovernor::schedule_ticks(Seconds first) {
+  return schedule_quiescent_spans(first, [this](double u) { return decide(u); });
+}
+
+sim::EventHandle ConservativeGovernor::schedule_ticks(Seconds first) {
+  return schedule_quiescent_spans(first, [this](double u) { return decide(u); });
 }
 
 void CpuGovernor::attach() { attach_at(platform_->queue().now() + interval_); }
 
 void CpuGovernor::attach_at(Seconds first_step) {
   detach();
-  ticks_ = platform_->queue().schedule_every(first_step, interval_,
-                                             [this] { step(platform_->queue().now()); });
+  ticks_ = schedule_ticks(first_step);
 }
 
 namespace {

@@ -84,11 +84,30 @@ class CpuGovernor {
   /// Map the windowed utilization (package, [0,1]) to the next P-state.
   [[nodiscard]] virtual std::size_t decide(double util) = 0;
 
+  /// Register the periodic ticks on the queue, first at `first`.  The
+  /// default fires step() once per dispatch.  Governors whose decide() reads
+  /// nothing but the utilization and the current level override this with
+  /// schedule_quiescent_spans().
+  virtual sim::EventHandle schedule_ticks(Seconds first);
+  /// Span-timer registration: while the CPU's state holds, a tick changes
+  /// nothing but the clock-driven state it leaves behind, so one dispatch
+  /// replays ticks up to the next foreign event (see run_span()).  `decide`
+  /// is the concrete governor's rule, called without virtual dispatch.
+  template <typename Decide>
+  sim::EventHandle schedule_quiescent_spans(Seconds first, Decide decide);
+
   [[nodiscard]] sim::Platform& platform() { return *platform_; }
   [[nodiscard]] const sim::DvfsTable& table() const { return platform_->cpu().table(); }
   [[nodiscard]] std::size_t current_level() const { return platform_->cpu().level(); }
 
  private:
+  template <typename Decide>
+  void run_span(sim::TimerSpan& span, Decide decide);
+  void record(Seconds now, double util, std::size_t level) {
+    ++steps_;
+    decisions_.push(GovernorDecision{now, util, level});
+  }
+
   sim::Platform* platform_;
   Seconds interval_;
   sim::CpuUtilSampler sampler_;
@@ -106,6 +125,7 @@ class PerformanceGovernor final : public CpuGovernor {
 
  protected:
   std::size_t decide(double /*util*/) override { return 0; }
+  sim::EventHandle schedule_ticks(Seconds first) override;
 };
 
 /// linux `powersave`: pin the lowest frequency.
@@ -117,6 +137,7 @@ class PowersaveGovernor final : public CpuGovernor {
 
  protected:
   std::size_t decide(double /*util*/) override { return table().lowest_level(); }
+  sim::EventHandle schedule_ticks(Seconds first) override;
 };
 
 /// The paper's CPU policy (Section IV, linux-2.6.9 semantics): above the
@@ -131,6 +152,7 @@ class OndemandGovernor final : public CpuGovernor {
 
  protected:
   std::size_t decide(double util) override;
+  sim::EventHandle schedule_ticks(Seconds first) override;
 
  private:
   OndemandParams params_;
@@ -145,6 +167,7 @@ class ConservativeGovernor final : public CpuGovernor {
 
  protected:
   std::size_t decide(double util) override;
+  sim::EventHandle schedule_ticks(Seconds first) override;
 
  private:
   OndemandParams params_;

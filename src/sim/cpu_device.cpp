@@ -82,6 +82,11 @@ Watts CpuDevice::power_at(std::size_t at_level, double utilization) const {
   return spec_.power(f_norm, v_norm, clamp_unit(utilization) * spec_.cores);
 }
 
+CpuDevice::Rates CpuDevice::rates() const {
+  return Rates{power_now(), utilization_now(),
+               active_ ? unit_time(active_->work) : Seconds{0.0}};
+}
+
 void CpuDevice::account() {
   const Seconds now = queue_.now();
   const Seconds dt = now - last_account_;
@@ -89,17 +94,7 @@ void CpuDevice::account() {
     last_account_ = now;
     return;
   }
-  const Watts p = power_now();
-  energy_.advance(now, p);
-  const double u = utilization_now();
-  counters_.util_integral += u * dt.get();
-  if (u > 0.0) counters_.busy_integral += dt.get();
-  if (!active_ && spinning_) {
-    counters_.spin_integral += dt.get();
-    spin_energy_ += p * dt;
-  }
-  if (active_) active_->units_done += dt / unit_time(active_->work);
-  last_account_ = now;
+  accrue(rates(), now, dt);
 }
 
 CpuActivityCounters CpuDevice::counters() {

@@ -13,6 +13,7 @@
 #include <functional>
 #include <optional>
 
+#include "src/common/annotations.h"
 #include "src/sim/dvfs.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/power_meter.h"
@@ -90,6 +91,35 @@ class CpuDevice {
   [[nodiscard]] const CpuSpec& spec() const { return spec_; }
   [[nodiscard]] std::uint64_t tasks_completed() const { return tasks_completed_; }
 
+  // --- Steady accounting ----------------------------------------------------
+  /// The per-instant factors of the accounting: power, package utilization
+  /// and the running task's time per unit (0 when idle).  They hold still
+  /// while nothing changes the package's state — level, task or spin flag.
+  struct Rates {
+    Watts power{0.0};
+    double utilization{0.0};
+    Seconds unit_time{0.0};
+  };
+  [[nodiscard]] Rates rates() const;
+  /// Bring the integrals up to queue.now() with `r` taken by rates() since
+  /// the package's state last changed: the same float operations, in the
+  /// same order, as the accounting every counters()/energy() call runs,
+  /// without re-deriving the factors (for runs of controller ticks).
+  GG_HOT void account(const Rates& r) {
+    const Seconds now = queue_.now();
+    const Seconds dt = now - last_account_;
+    if (dt <= Seconds{0.0}) {
+      last_account_ = now;
+      return;
+    }
+    accrue(r, now, dt);
+  }
+  /// Activity counters as of the last accounting (account(r) or any
+  /// counters()/energy() call), without accounting again.
+  [[nodiscard]] const CpuActivityCounters& accounted_counters() const {
+    return counters_;
+  }
+
   /// Serialize the package's accounting state (P-state, transition count,
   /// utilization/energy/spin integrals, completion counter).  Only legal at
   /// a quiescent instant: idle, not spinning, empty FIFO.
@@ -106,6 +136,17 @@ class CpuDevice {
   };
 
   void account();
+  GG_HOT void accrue(const Rates& r, Seconds now, Seconds dt) {
+    energy_.advance(now, r.power);
+    counters_.util_integral += r.utilization * dt.get();
+    if (r.utilization > 0.0) counters_.busy_integral += dt.get();
+    if (!active_ && spinning_) {
+      counters_.spin_integral += dt.get();
+      spin_energy_ += r.power * dt;
+    }
+    if (active_) active_->units_done += dt / r.unit_time;
+    last_account_ = now;
+  }
   [[nodiscard]] Seconds unit_time(const CpuWork& w) const;
   [[nodiscard]] int effective_cores(const CpuWork& w) const;
   void start_next_if_idle();

@@ -122,9 +122,11 @@ class CpuUtilSampler {
       : cpu_(&cpu), queue_(&queue), last_(cpu.counters()), last_time_(queue.now()) {}
 
   /// Average package utilization in [0, 1] since the previous call.
-  double sample() {
-    const CpuActivityCounters now = cpu_->counters();
-    const Seconds t = queue_->now();
+  double sample() { return sample(cpu_->counters(), queue_->now()); }
+
+  /// sample() over a window ending at `t` whose counters the caller already
+  /// brought up to `t` (see CpuDevice::account(const Rates&)).
+  double sample(const CpuActivityCounters& now, Seconds t) {
     const double dt = (t - last_time_).get();
     double u = 0.0;
     if (dt > 0.0) u = (now.util_integral - last_.util_integral) / dt;

@@ -4,12 +4,6 @@
 
 namespace gg::sim {
 
-void EnergyIntegrator::advance(Seconds now, Watts power_since_last) {
-  if (now < last_) throw std::invalid_argument("EnergyIntegrator: time went backwards");
-  energy_ += power_since_last * (now - last_);
-  last_ = now;
-}
-
 void PowerMeter::advance(Seconds now, Watts power_since_last) {
   Seconds t = integrator_.last_time();
   if (now < t) throw std::invalid_argument("PowerMeter: time went backwards");

@@ -7,6 +7,7 @@
 // so traces look like the meters' output.
 #pragma once
 
+#include <stdexcept>
 #include <vector>
 
 #include "src/common/snapshot.h"
@@ -19,7 +20,11 @@ namespace gg::sim {
 class EnergyIntegrator {
  public:
   /// Integrate `power_since_last` over [last_time, now] and move to `now`.
-  void advance(Seconds now, Watts power_since_last);
+  void advance(Seconds now, Watts power_since_last) {
+    if (now < last_) throw std::invalid_argument("EnergyIntegrator: time went backwards");
+    energy_ += power_since_last * (now - last_);
+    last_ = now;
+  }
 
   [[nodiscard]] Joules energy() const { return energy_; }
   [[nodiscard]] Seconds last_time() const { return last_; }

@@ -577,5 +577,176 @@ TEST(EventQueueTimer, RejectsBadArguments) {
   EXPECT_TRUE(q.empty());
 }
 
+// --- Span timers (schedule_every with a TimerSpan body) --------------------
+
+/// A seeded schedule of recurring timers whose tick body touches the queue
+/// (schedules a one-shot on some timer's future instant, cancels a timer)
+/// on some ticks and only logs on the rest.  `spans` registers them as span
+/// timers that advance through every tick leaving the queue untouched;
+/// otherwise as plain timers, one tick per dispatch — the oracle.
+struct SpanLog {
+  FiringLog firings;
+  std::uint64_t bodies{0};
+};
+
+SpanLog run_span_schedule(std::uint64_t seed, bool spans) {
+  EventQueue q;
+  Rng rng(seed);
+  SpanLog out;
+  FiringLog& log = out.firings;
+  constexpr std::size_t kTimers = 3;
+  const double periods[kTimers] = {0.125, 0.375, 0.1};
+  const double firsts[kTimers] = {0.125, 0.25, 0.1};
+  std::vector<EventHandle> handles(kTimers);
+  std::uint64_t one_shots_fired = 0;
+
+  // Timer k's tick instants, accumulated exactly as the lane does.
+  auto instant_after = [&](std::size_t k, Seconds t) {
+    Seconds w{firsts[k]};
+    while (w <= t) w = w + Seconds{periods[k]};
+    return w;
+  };
+  auto one_shot = [&](Seconds when, std::uint64_t id) {
+    q.schedule_at(when, [&, id] {
+      log.emplace_back(q.now().get(), id);
+      ++one_shots_fired;
+    });
+  };
+  // True when the tick touched the queue (a span must end there).
+  auto tick = [&](std::size_t k) {
+    log.emplace_back(q.now().get(), k);
+    const double r = rng.uniform();
+    if (r < 0.04) {
+      const Seconds after = q.now() + Seconds{rng.uniform(0.0, 2.0)};
+      one_shot(instant_after(rng.uniform_int(kTimers), after), 100 + k);
+      return true;
+    }
+    if (r < 0.05) {
+      handles[rng.uniform_int(kTimers)].cancel();
+      return true;
+    }
+    return false;
+  };
+  for (std::size_t k = 0; k < kTimers; ++k) {
+    if (spans) {
+      handles[k] = q.schedule_every(Seconds{firsts[k]}, Seconds{periods[k]},
+                                    [&tick, k](TimerSpan& span) {
+                                      while (!tick(k) && span.advance()) {
+                                      }
+                                    });
+    } else {
+      handles[k] = q.schedule_every(Seconds{firsts[k]}, Seconds{periods[k]},
+                                    [&tick, k] { tick(k); });
+    }
+  }
+  for (int i = 0; i < 40; ++i) {
+    one_shot(Seconds{0.125 * static_cast<double>(rng.uniform_int(400))}, 300);
+  }
+  for (int round = 0; round < 80; ++round) {
+    const double pick = rng.uniform();
+    if (pick < 0.4) {
+      q.run_until(q.now() + Seconds{rng.uniform(0.0, 1.5)});
+    } else if (pick < 0.7) {
+      q.run_until(instant_after(rng.uniform_int(kTimers), q.now()));
+    } else {
+      const std::uint64_t seen = one_shots_fired;
+      // Quiescent ticks never change the condition, so a step() that
+      // takes a whole span stops where tick-by-tick stepping would.
+      while (one_shots_fired == seen && q.step()) {
+      }
+    }
+    log.emplace_back(-1.0, q.fired_count());
+    log.emplace_back(-2.0, q.pending_count());
+  }
+  for (auto& h : handles) h.cancel();
+  q.run_until_empty();
+  log.emplace_back(-3.0, q.fired_count());
+  out.bodies = q.timer_bodies_run();
+  return out;
+}
+
+TEST(EventQueueSpan, MatchesPerTickTimersFiringForFiring) {
+  std::uint64_t span_bodies = 0;
+  std::uint64_t plain_bodies = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const SpanLog spans = run_span_schedule(seed, true);
+    const SpanLog plain = run_span_schedule(seed, false);
+    ASSERT_GT(plain.firings.size(), 300u) << "seed " << seed;
+    EXPECT_EQ(spans.firings, plain.firings) << "seed " << seed;
+    span_bodies += spans.bodies;
+    plain_bodies += plain.bodies;
+  }
+  EXPECT_LT(span_bodies * 3, plain_bodies * 2);
+}
+
+TEST(EventQueueSpan, RunsToTheFirstForeignEventAndCountsOneBody) {
+  EventQueue q;
+  std::vector<double> ticks;
+  EventHandle h = q.schedule_every(1_s, 1_s, [&](TimerSpan& span) {
+    do {
+      ticks.push_back(span.now().get());
+      EXPECT_EQ(q.now(), span.now());
+    } while (span.advance());
+  });
+  // A foreign event at exactly 5 s fires before the tick at 5 s: the tick
+  // re-keyed there holds the newest sequence number.
+  std::vector<double> foreign;
+  q.schedule_at(5_s, [&] { foreign.push_back(q.now().get()); });
+  ASSERT_TRUE(q.step());
+  EXPECT_EQ(ticks, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
+  EXPECT_EQ(q.fired_count(), 4u);
+  EXPECT_EQ(q.timer_bodies_run(), 1u);
+  EXPECT_EQ(q.now(), 4_s);
+  ASSERT_TRUE(q.step());
+  EXPECT_EQ(foreign, (std::vector<double>{5.0}));
+  // Nothing else pending: step() takes a single tick.
+  ASSERT_TRUE(q.step());
+  EXPECT_EQ(ticks.size(), 5u);
+  EXPECT_EQ(q.timer_bodies_run(), 2u);
+  // run_until() bounds the span inclusively and leaves the next tick keyed.
+  q.run_until(Seconds{8.5});
+  EXPECT_EQ(ticks.size(), 8u);
+  EXPECT_EQ(q.timer_bodies_run(), 3u);
+  EXPECT_EQ(q.fired_count(), 9u);
+  EXPECT_EQ(q.now(), Seconds{8.5});
+  // A limit exactly on a tick instant: the span takes that tick too.
+  q.run_until(11_s);
+  EXPECT_EQ(ticks.back(), 11.0);
+  EXPECT_EQ(q.timer_bodies_run(), 4u);
+  h.cancel();
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueSpan, AnotherTimerBoundsTheSpan) {
+  EventQueue q;
+  std::vector<std::pair<double, int>> log;
+  EventHandle a = q.schedule_every(0.25_s, 0.25_s, [&](TimerSpan& span) {
+    do {
+      log.emplace_back(span.now().get(), 0);
+    } while (span.advance());
+  });
+  EventHandle b = q.schedule_every(1_s, 1_s, [&] { log.emplace_back(q.now().get(), 1); });
+  q.run_until(2_s);
+  // At 1 s and 2 s the span timer registered first, but its re-keyed ticks
+  // hold newer sequence numbers than the plain timer's: the plain one fires
+  // first, exactly as with per-tick dispatch.
+  const std::vector<std::pair<double, int>> expected = {
+      {0.25, 0}, {0.5, 0}, {0.75, 0}, {1.0, 1}, {1.0, 0}, {1.25, 0}, {1.5, 0},
+      {1.75, 0}, {2.0, 1}, {2.0, 0}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(q.fired_count(), 10u);
+  EXPECT_EQ(q.timer_bodies_run(), 5u);  // spans [0.25, 0.75], [1, 1.75], [2] + 2 plain
+  a.cancel();
+  b.cancel();
+}
+
+TEST(EventQueueSpan, RejectsAnEmptyBody) {
+  EventQueue q;
+  EXPECT_THROW(q.schedule_every(1_s, 1_s, EventQueue::SpanAction{}),
+               std::invalid_argument);
+  EXPECT_THROW(q.schedule_every(1_s, 0_s, [](TimerSpan&) {}), std::invalid_argument);
+  EXPECT_TRUE(q.empty());
+}
+
 }  // namespace
 }  // namespace gg::sim

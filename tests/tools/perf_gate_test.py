@@ -10,7 +10,9 @@ runs the gate as CI does and checks its exit code and report lines:
     different one;
   * a timed metric the baseline does not carry yet is skipped;
   * higher-is-better metrics fail on a drop beyond the tolerance, pass a
-    drop inside it and pass any rise.
+    drop inside it and pass any rise;
+  * the governor ticks-per-body floor fails below 5x, passes at it, and a
+    record without the count fails on any host.
 
 Run directly or through ctest: python3 tests/tools/perf_gate_test.py --root <repo>
 """
@@ -35,6 +37,8 @@ def passing_record(host_cpus=4):
                         "schedule_fire_ns_per_event": 100.0,
                         "periodic_tick_ns_per_event": 20.0},
         "scaler": {"decisions_identical": True, "speedup_fast_vs_reference": 2.0},
+        "sim": {"governor_ticks": 1700, "governor_bodies": 100,
+                "governor_ticks_per_body": 17.0},
         "checkpoint": {"journaled_reports_identical": True},
         "batch": {"identical_reports": True, "identical_reports_across_jobs": True,
                   "model_cells_unbacked": True, "model_only_host_bytes": 0,
@@ -145,6 +149,23 @@ def main():
     fewer_other_host["host_cpus"] = 8
     expect("higher_is_better_other_host", base, fewer_other_host, 0,
            "[SKIP] timed comparisons")
+
+    per_tick = copy.deepcopy(base)
+    per_tick["sim"]["governor_ticks_per_body"] = 1.0  # every tick dispatched
+    expect("governor_spans_below_floor", base, per_tick, 1,
+           "sim.governor_ticks_per_body: 1.00 < 5.0 floor")
+    per_tick_other_host = copy.deepcopy(per_tick)
+    per_tick_other_host["host_cpus"] = 8
+    expect("governor_spans_below_floor_any_host", base, per_tick_other_host, 1,
+           "sim.governor_ticks_per_body: 1.00 < 5.0 floor")
+    at_floor = copy.deepcopy(base)
+    at_floor["sim"]["governor_ticks_per_body"] = 5.0
+    expect("governor_spans_at_floor", base, at_floor, 0,
+           "[OK]   governor ticks per dispatched body 5.00")
+    no_count = copy.deepcopy(base)
+    del no_count["sim"]
+    expect("governor_spans_missing", base, no_count, 1,
+           "sim.governor_ticks_per_body: missing from current record")
 
     for name in os.listdir(tmp):
         os.remove(os.path.join(tmp, name))

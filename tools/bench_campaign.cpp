@@ -14,6 +14,8 @@
 //     per workload sharing a warm-up prefix), asserts the two engines'
 //     reports are byte-identical at every --jobs value, and counts the host
 //     bytes behind the sweep's model-only device memory (must be 0),
+//   * counts the sweep's logical CPU-governor ticks per governor body the
+//     event queue dispatched (quiescent ticks run in spans),
 //   * times the sim::EventQueue hot paths (schedule/fire, cancelled-entry
 //     ride-along, DVFS-style cancel churn, recurring-timer ticks) in ns per
 //     event, and asserts a seeded mixed schedule fires identically through
@@ -334,6 +336,45 @@ PipelineComparison compare_pipeline(const std::string& name) {
   return c;
 }
 
+/// Logical CPU-governor ticks and the governor bodies the queue's timer
+/// lane dispatched for them, summed over every cell of `cfg`'s plan.  Each
+/// cell runs standalone and model-only (the same events as a full run), so
+/// no snapshot restore resets the queue's dispatch count.  Without a trace
+/// recorder the lane holds at most the scaler and the governor; the scaler
+/// runs one body and records one decision per tick, so the governor's
+/// bodies are the lane's bodies less the scaler's decisions.
+struct GovernorSpanCounts {
+  std::uint64_t ticks{0};
+  std::uint64_t bodies{0};
+  [[nodiscard]] double ticks_per_body() const {
+    return bodies > 0 ? static_cast<double>(ticks) / static_cast<double>(bodies) : 0.0;
+  }
+};
+
+GovernorSpanCounts governor_span_counts(const greengpu::CampaignConfig& cfg) {
+  const greengpu::CampaignPlan plan = greengpu::plan_campaign(cfg);
+  const std::size_t per_row = plan.policies.size();
+  GovernorSpanCounts counts;
+  for (std::size_t i = 0; i < plan.total(); ++i) {
+    greengpu::RunOptions options = cfg.options;
+    if (options.faults.any_faults()) {
+      options.faults.seed = greengpu::campaign_cell_seed(options.faults.seed, i);
+    }
+    options.model_only = true;
+    options.record = greengpu::RecordOptions{greengpu::RecordMode::kCounters, 0};
+    const workloads::WorkloadPtr workload =
+        workloads::make_workload(plan.workloads[i / per_row]);
+    greengpu::ExperimentEngine engine(*workload, plan.policies[i % per_row], options);
+    engine.start();
+    while (engine.iteration() < engine.total_iterations()) engine.step_iteration();
+    const greengpu::ExperimentResult r = engine.finish();
+    counts.ticks += r.governor_decision_count;
+    counts.bodies +=
+        engine.platform().queue().timer_bodies_run() - r.scaler_decision_count;
+  }
+  return counts;
+}
+
 bool report_identity(const char* what, const CampaignRun& a, const CampaignRun& b) {
   const bool csv_ok = a.csv == b.csv;
   const bool json_ok = a.json == b.json;
@@ -459,6 +500,12 @@ int main(int argc, char** argv) {
               model_host_bytes == 0 ? "OK" : "FAIL",
               static_cast<unsigned long long>(model_host_bytes));
   ok = model_host_bytes == 0 && ok;
+  // Count, not a clock: quiescent governor ticks run in spans, so the
+  // lane dispatches far fewer governor bodies than the governor ticks.
+  const GovernorSpanCounts spans = governor_span_counts(sweep_batch);
+  std::printf("  governor ticks per dispatched body: %.2f (%llu ticks, %llu bodies)\n",
+              spans.ticks_per_body(), static_cast<unsigned long long>(spans.ticks),
+              static_cast<unsigned long long>(spans.bodies));
 
   // Pipeline workloads: the asynchronous multi-stream schedule vs the
   // synchronous baseline, in simulated seconds and joules (both sides run
@@ -640,6 +687,12 @@ int main(int argc, char** argv) {
   w.kv("identical_reports_across_jobs", batch_jobs_identical);
   w.kv("model_only_host_bytes", static_cast<double>(model_host_bytes));
   w.kv("model_cells_unbacked", model_host_bytes == 0);
+  w.end_object();
+  w.key("sim");
+  w.begin_object();
+  w.kv("governor_ticks", static_cast<double>(spans.ticks));
+  w.kv("governor_bodies", static_cast<double>(spans.bodies));
+  w.kv("governor_ticks_per_body", spans.ticks_per_body());
   w.end_object();
   w.key("pipeline");
   w.begin_object();

@@ -17,6 +17,9 @@ Checks, in order:
   * the pipelined schedules must beat their synchronous baselines on
     simulated makespan (speedup floor) and keep a minimum copy/compute
     overlap — fully host-independent: both sides are simulated seconds;
+  * quiescent CPU-governor ticks must run in spans: logical governor ticks
+    per governor body the event queue dispatched, on the replicate sweep
+    (a count ratio, so a floor that holds on any host);
   * the parallel speedup vs --jobs 1, but only when neither record carries
     the single_core_host marker — one worker cannot speed anything up, so
     comparing that number across host classes is meaningless;
@@ -97,6 +100,11 @@ BATCH_SPEEDUP_FLOOR = 5.0
 # stream depth, overlap efficiency 0.57 / 0.50.
 PIPELINE_SPEEDUP_FLOOR = 1.3   # worst workload's makespan speedup
 PIPELINE_OVERLAP_FLOOR = 0.3   # worst workload's overlapped/copy-busy ratio
+# Governor ticks per dispatched governor body on the replicate sweep.  A
+# ratio of exact counts: one dispatch runs every quiescent tick up to the
+# next heap event or scaler tick.  Measured 26.1 (971,862 ticks, 37,236
+# bodies); per-tick dispatch reads 1.0.
+GOVERNOR_TICKS_PER_BODY_FLOOR = 5.0
 # Telemetry fan-out floor, events/sec at the WORST measured subscriber count
 # (16).  The hub hot path is a seq assignment plus one string copy per ring,
 # measured in the millions/sec on the reference container; 50k/s is two
@@ -221,6 +229,17 @@ def main():
     else:
         print(f"[OK]   pipelined schedules {pipe_speedup:.2f}x faster than sync "
               f"(floor {PIPELINE_SPEEDUP_FLOOR:.1f}x, simulated)")
+
+    per_body = get(current, "sim", "governor_ticks_per_body")
+    if not is_number(per_body):
+        failures.append("sim.governor_ticks_per_body: missing from current record")
+    elif per_body < GOVERNOR_TICKS_PER_BODY_FLOOR:
+        failures.append(
+            f"sim.governor_ticks_per_body: {per_body:.2f} < "
+            f"{GOVERNOR_TICKS_PER_BODY_FLOOR:.1f} floor (count ratio, host-independent)")
+    else:
+        print(f"[OK]   governor ticks per dispatched body {per_body:.2f} "
+              f"(floor {GOVERNOR_TICKS_PER_BODY_FLOOR:.1f}, counts)")
 
     stream_rate = get(current, "service", "watch_min_events_per_sec")
     if not isinstance(stream_rate, (int, float)) or isinstance(stream_rate, bool):

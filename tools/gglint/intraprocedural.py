@@ -100,10 +100,24 @@ REQUIRED_HOT = [
     ("src/sim/event_queue.cpp",
      re.compile(r"bool\s+EventQueue::step\s*\("),
      "EventQueue::step"),
+    ("src/sim/event_queue.cpp",
+     re.compile(r"bool\s+EventQueue::dispatch\s*\("),
+     "EventQueue::dispatch"),
     # Recurring-timer lane: every periodic controller tick fires here.
     ("src/sim/event_queue.cpp",
      re.compile(r"void\s+EventQueue::fire_timer\s*\("),
      "EventQueue::fire_timer"),
+    # Span timers: a run of quiescent CPU-governor ticks replays in this
+    # loop, one TimerSpan::advance per tick.
+    ("src/sim/event_queue.h",
+     re.compile(r"bool\s+advance\s*\("),
+     "TimerSpan::advance"),
+    ("src/greengpu/cpu_governor.cpp",
+     re.compile(r"void\s+CpuGovernor::run_span\s*\("),
+     "CpuGovernor::run_span"),
+    ("src/sim/cpu_device.h",
+     re.compile(r"void\s+accrue\s*\("),
+     "CpuDevice::accrue"),
     ("src/sim/event_queue.h",
      re.compile(r"std::uint32_t\s+acquire\s*\("),
      "EventSlab::acquire"),
