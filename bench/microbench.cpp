@@ -212,7 +212,8 @@ void BM_GovernorQuiescentSpan(benchmark::State& state) {
   // on the GPU) beside a 3 s scaler-style timer: every governor tick past
   // the first is quiescent.  Arg 1 attaches the governor, whose ticks run
   // in spans (one dispatch per run of ticks); Arg 0 fires the same step()
-  // from a plain timer, one dispatch per tick.  Items are governor ticks.
+  // from a timer that never advances, one dispatch per tick.  Items are
+  // governor ticks.
   const bool spans = state.range(0) != 0;
   std::int64_t ticks = 0;
   for (auto _ : state) {

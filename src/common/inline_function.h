@@ -6,8 +6,6 @@
 // queue stores callables inline (up to `Capacity` bytes), relocates
 // trivially-copyable captures with a fixed-size memcpy instead of an
 // indirect call, and only falls back to the heap for oversized captures.
-// `Args` is the call signature's parameter list (empty for plain events;
-// the queue's span timers take a `TimerSpan&`).
 #pragma once
 
 #include <cstddef>
@@ -18,7 +16,7 @@
 
 namespace gg {
 
-template <std::size_t Capacity = 40, typename... Args>
+template <std::size_t Capacity = 40>
 class InlineAction {
  public:
   InlineAction() = default;
@@ -26,7 +24,7 @@ class InlineAction {
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, InlineAction> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&, Args...>>>
+                std::is_invocable_r_v<void, std::decay_t<F>&>>>
   InlineAction(F&& f) {  // NOLINT(google-explicit-constructor): callable sink
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= Capacity &&
@@ -60,13 +58,13 @@ class InlineAction {
 
   ~InlineAction() { reset(); }
 
-  void operator()(Args... args) { ops_->invoke(buf_, static_cast<Args&&>(args)...); }
+  void operator()() { ops_->invoke(buf_); }
 
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
  private:
   struct Ops {
-    void (*invoke)(void*, Args...);
+    void (*invoke)(void*);
     /// Move-construct into `dst` from `src`, then destroy `src`.  Null when a
     /// Capacity-sized memcpy relocates the callable (trivial captures and the
     /// boxed pointer alike).
@@ -76,9 +74,7 @@ class InlineAction {
 
   template <typename Fn>
   static constexpr Ops inline_ops{
-      [](void* p, Args... args) {
-        (*static_cast<Fn*>(p))(static_cast<Args&&>(args)...);
-      },
+      [](void* p) { (*static_cast<Fn*>(p))(); },
       std::is_trivially_copyable_v<Fn>
           ? nullptr
           : +[](void* dst, void* src) {
@@ -93,9 +89,7 @@ class InlineAction {
 
   template <typename Fn>
   static constexpr Ops boxed_ops{
-      [](void* p, Args... args) {
-        (**static_cast<Fn**>(p))(static_cast<Args&&>(args)...);
-      },
+      [](void* p) { (**static_cast<Fn**>(p))(); },
       nullptr,  // relocating the box is a pointer memcpy
       [](void* p) { delete *static_cast<Fn**>(p); },
   };

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "src/common/annotations.h"
 #include "src/greengpu/loss.h"
 
 namespace gg::greengpu {
@@ -18,66 +19,43 @@ GovernorDecision CpuGovernor::step(Seconds now) {
   const double u = sampler_.sample();
   const std::size_t level = decide(u);
   platform_->cpu().set_level(level);
-  record(now, u, level);
-  return GovernorDecision{now, u, level};
+  ++steps_;
+  const GovernorDecision d{now, u, level};
+  decisions_.push(d);
+  return d;
 }
 
-// step(), tick after tick, for as long as the CPU's state holds: its rates
-// are taken once, and set_level() is skipped while the level stays (it
-// would only re-account a zero-length window).  Returns after the first
-// tick that moves the level — that can reschedule a CPU completion and so
-// the span's bound — or at the bound.
-template <typename Decide>
-GG_HOT void CpuGovernor::run_span(sim::TimerSpan& span, Decide decide) {
+// step(), tick after tick, while the level holds.  The CPU's rates stay
+// put over such a run, so they are taken once, and set_level() is skipped
+// (it would only re-account a zero-length window); every float operation
+// runs in step()'s order.  Returns after the first tick that moves the
+// level — that can reschedule a CPU completion, and so the next foreign
+// event — or when the next tick no longer fires before it.  Every
+// governor's decide() reads only the utilization, the current level and
+// its own state, so the ticks in between need no dispatch of their own.
+GG_HOT void CpuGovernor::run_ticks() {
+  sim::EventQueue& q = platform_->queue();
   sim::CpuDevice& cpu = platform_->cpu();
   const sim::CpuDevice::Rates rates = cpu.rates();
   const std::size_t level = cpu.level();
   do {
-    const Seconds now = span.now();
-    cpu.account(rates);
-    const double u = sampler_.sample(cpu.accounted_counters(), now);
+    const Seconds now = q.now();
+    const double u = sampler_.sample(cpu.counters(rates), now);
     const std::size_t next = decide(u);
+    ++steps_;
+    decisions_.push(GovernorDecision{now, u, next});
     if (next != level) {
       cpu.set_level(next);
-      record(now, u, next);
       return;
     }
-    record(now, u, next);
-  } while (span.advance());
-}
-
-template <typename Decide>
-sim::EventHandle CpuGovernor::schedule_quiescent_spans(Seconds first, Decide decide) {
-  return platform_->queue().schedule_every(
-      first, interval_, [this, decide](sim::TimerSpan& span) { run_span(span, decide); });
-}
-
-sim::EventHandle CpuGovernor::schedule_ticks(Seconds first) {
-  return platform_->queue().schedule_every(first, interval_,
-                                           [this] { step(platform_->queue().now()); });
-}
-
-sim::EventHandle PerformanceGovernor::schedule_ticks(Seconds first) {
-  return schedule_quiescent_spans(first, [this](double u) { return decide(u); });
-}
-
-sim::EventHandle PowersaveGovernor::schedule_ticks(Seconds first) {
-  return schedule_quiescent_spans(first, [this](double u) { return decide(u); });
-}
-
-sim::EventHandle OndemandGovernor::schedule_ticks(Seconds first) {
-  return schedule_quiescent_spans(first, [this](double u) { return decide(u); });
-}
-
-sim::EventHandle ConservativeGovernor::schedule_ticks(Seconds first) {
-  return schedule_quiescent_spans(first, [this](double u) { return decide(u); });
+  } while (q.advance_current_timer());
 }
 
 void CpuGovernor::attach() { attach_at(platform_->queue().now() + interval_); }
 
 void CpuGovernor::attach_at(Seconds first_step) {
   detach();
-  ticks_ = schedule_ticks(first_step);
+  ticks_ = platform_->queue().schedule_every(first_step, interval_, [this] { run_ticks(); });
 }
 
 namespace {

@@ -44,7 +44,11 @@ class CpuGovernor {
   /// One sampling step: read utilization, decide, enforce, record.
   GovernorDecision step(Seconds now);
 
-  /// Start/stop periodic invocation on the platform's queue.
+  /// Start/stop periodic invocation on the platform's queue.  A tick that
+  /// keeps the level changes nothing but what the clock drives, so one
+  /// queue dispatch does step()'s work tick after tick up to the next
+  /// foreign event (see run_ticks()); decisions, integrals and queue state
+  /// come out exactly as with one dispatch per tick.
   void attach();
   void detach();
   /// Start periodic invocation with the first step at the absolute instant
@@ -84,29 +88,15 @@ class CpuGovernor {
   /// Map the windowed utilization (package, [0,1]) to the next P-state.
   [[nodiscard]] virtual std::size_t decide(double util) = 0;
 
-  /// Register the periodic ticks on the queue, first at `first`.  The
-  /// default fires step() once per dispatch.  Governors whose decide() reads
-  /// nothing but the utilization and the current level override this with
-  /// schedule_quiescent_spans().
-  virtual sim::EventHandle schedule_ticks(Seconds first);
-  /// Span-timer registration: while the CPU's state holds, a tick changes
-  /// nothing but the clock-driven state it leaves behind, so one dispatch
-  /// replays ticks up to the next foreign event (see run_span()).  `decide`
-  /// is the concrete governor's rule, called without virtual dispatch.
-  template <typename Decide>
-  sim::EventHandle schedule_quiescent_spans(Seconds first, Decide decide);
-
   [[nodiscard]] sim::Platform& platform() { return *platform_; }
   [[nodiscard]] const sim::DvfsTable& table() const { return platform_->cpu().table(); }
   [[nodiscard]] std::size_t current_level() const { return platform_->cpu().level(); }
 
  private:
-  template <typename Decide>
-  void run_span(sim::TimerSpan& span, Decide decide);
-  void record(Seconds now, double util, std::size_t level) {
-    ++steps_;
-    decisions_.push(GovernorDecision{now, util, level});
-  }
+  /// The timer's action: step()'s work for the due tick and, while the
+  /// level holds, for each following tick the queue lets the timer
+  /// advance to.
+  void run_ticks();
 
   sim::Platform* platform_;
   Seconds interval_;
@@ -125,7 +115,6 @@ class PerformanceGovernor final : public CpuGovernor {
 
  protected:
   std::size_t decide(double /*util*/) override { return 0; }
-  sim::EventHandle schedule_ticks(Seconds first) override;
 };
 
 /// linux `powersave`: pin the lowest frequency.
@@ -137,7 +126,6 @@ class PowersaveGovernor final : public CpuGovernor {
 
  protected:
   std::size_t decide(double /*util*/) override { return table().lowest_level(); }
-  sim::EventHandle schedule_ticks(Seconds first) override;
 };
 
 /// The paper's CPU policy (Section IV, linux-2.6.9 semantics): above the
@@ -152,7 +140,6 @@ class OndemandGovernor final : public CpuGovernor {
 
  protected:
   std::size_t decide(double util) override;
-  sim::EventHandle schedule_ticks(Seconds first) override;
 
  private:
   OndemandParams params_;
@@ -167,7 +154,6 @@ class ConservativeGovernor final : public CpuGovernor {
 
  protected:
   std::size_t decide(double util) override;
-  sim::EventHandle schedule_ticks(Seconds first) override;
 
  private:
   OndemandParams params_;

@@ -101,22 +101,17 @@ class CpuDevice {
     Seconds unit_time{0.0};
   };
   [[nodiscard]] Rates rates() const;
-  /// Bring the integrals up to queue.now() with `r` taken by rates() since
-  /// the package's state last changed: the same float operations, in the
-  /// same order, as the accounting every counters()/energy() call runs,
-  /// without re-deriving the factors (for runs of controller ticks).
-  GG_HOT void account(const Rates& r) {
+  /// counters(), with `r` taken by rates() since the package's state last
+  /// changed: the same float operations, in the same order, without
+  /// re-deriving the factors (for runs of controller ticks).
+  GG_HOT const CpuActivityCounters& counters(const Rates& r) {
     const Seconds now = queue_.now();
     const Seconds dt = now - last_account_;
     if (dt <= Seconds{0.0}) {
       last_account_ = now;
-      return;
+    } else {
+      accrue(r, now, dt);
     }
-    accrue(r, now, dt);
-  }
-  /// Activity counters as of the last accounting (account(r) or any
-  /// counters()/energy() call), without accounting again.
-  [[nodiscard]] const CpuActivityCounters& accounted_counters() const {
     return counters_;
   }
 

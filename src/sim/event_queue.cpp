@@ -24,22 +24,12 @@ GG_HOT EventHandle EventQueue::schedule_at(Seconds when, Action action) {
 }
 
 EventHandle EventQueue::schedule_every(Seconds first, Seconds period, Action action) {
-  if (!action) throw std::invalid_argument("EventQueue: empty action");
-  return add_timer(first, period, std::move(action), SpanAction{});
-}
-
-EventHandle EventQueue::schedule_every(Seconds first, Seconds period, SpanAction body) {
-  if (!body) throw std::invalid_argument("EventQueue: empty action");
-  return add_timer(first, period, Action{}, std::move(body));
-}
-
-EventHandle EventQueue::add_timer(Seconds first, Seconds period, Action action,
-                                  SpanAction span) {
   owner_.assert_owner("sim::EventQueue");
   if (first < now_) throw std::invalid_argument("EventQueue: schedule in the past");
   if (!(period > Seconds{0.0})) {
     throw std::invalid_argument("EventQueue: timer period must be > 0");
   }
+  if (!action) throw std::invalid_argument("EventQueue: empty action");
   const std::uint32_t slot = slab_->acquire();
   auto& s = slab_->slots[slot];
   s.in_heap = false;
@@ -52,7 +42,7 @@ EventHandle EventQueue::add_timer(Seconds first, Seconds period, Action action,
     }
   }
   if (t == nullptr) t = &timers_.emplace_back();
-  *t = Timer{first, next_seq_++, period, std::move(action), std::move(span), slot, false};
+  *t = Timer{first, next_seq_++, period, std::move(action), slot, false};
   ++timers_in_lane_;
   return EventHandle{slab_, slot};
 }
@@ -64,7 +54,6 @@ void EventQueue::retire_timer(Timer& t) {
   slab_->release_if_unused(t.slot);
   t.slot = detail::EventSlab::kNone;
   t.action = Action{};
-  t.span = SpanAction{};
   --timers_in_lane_;
 }
 
@@ -82,43 +71,45 @@ EventQueue::Timer* EventQueue::next_timer() {
   return next;
 }
 
-Seconds EventQueue::span_last_instant(const Timer& t, Seconds limit) const {
+void EventQueue::bound_span() {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   bool foreign = !heap_.empty();
   Seconds first_foreign = foreign ? heap_.front().when : Seconds{kInf};
   for (const Timer& o : timers_) {
-    if (&o == &t || o.slot == detail::EventSlab::kNone || o.firing ||
-        slab_->slots[o.slot].cancelled) {
+    if (o.slot == detail::EventSlab::kNone || o.firing || slab_->slots[o.slot].cancelled) {
       continue;
     }
     foreign = true;
     first_foreign = std::min(first_foreign, o.when);
   }
+  span_bounded_ = true;
   if (!foreign) {
     // Nothing else pending: without a run_until() limit, just this tick.
-    return limit.get() == kInf ? Seconds{-kInf} : limit;
+    span_last_ = span_limit_.get() == kInf ? Seconds{-kInf} : span_limit_;
+    return;
   }
   // A re-keyed tick loses every tie (its sequence number is the newest), so
   // the last tick that still fires first is strictly before the foreign one.
-  return std::min(limit, Seconds{std::nextafter(first_foreign.get(), -kInf)});
+  span_last_ =
+      std::min(span_limit_, Seconds{std::nextafter(first_foreign.get(), -kInf)});
 }
 
 // Re-keys the timer in place: no heap operation, slot, handle or action
 // move per tick.  The next key is what the equivalent chain would get —
 // fire time + period, and a sequence number taken after the action ran.
-// A span body may already have taken further ticks through TimerSpan, each
-// re-keyed the same way; the key left here follows its last one.
+// The action may already have taken further ticks through
+// advance_current_timer(), each re-keyed the same way; the key left here
+// follows its last one.
 GG_HOT void EventQueue::fire_timer(Timer& t, Seconds limit) {
   now_ = t.when;
   ++fired_;
   ++timer_bodies_;
   t.firing = true;
-  if (t.span) {
-    TimerSpan span(*this, t, span_last_instant(t, limit));
-    t.span(span);
-  } else {
-    t.action();
-  }
+  firing_ = &t;
+  span_limit_ = limit;
+  span_bounded_ = false;
+  t.action();
+  firing_ = nullptr;
   t.firing = false;
   if (slab_->slots[t.slot].cancelled) {
     retire_timer(t);

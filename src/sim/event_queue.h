@@ -19,8 +19,9 @@
 // timer sits in a small lane beside it and is re-keyed in place each time
 // it fires (see schedule_every()).  A timer whose ticks mostly change
 // nothing (the CPU governor between heap events) can take a whole run of
-// them in one dispatch: its span body gets a TimerSpan bounded by the next
-// foreign event and replays tick after tick in a tight loop.
+// them in one dispatch: its action calls advance_current_timer(), which
+// moves it to its next tick for as long as that tick fires before the next
+// foreign event.
 #pragma once
 
 #include <cstdint>
@@ -171,16 +172,11 @@ class EventHandle {
   std::uint32_t idx_{detail::EventSlab::kNone};
 };
 
-class TimerSpan;
-
 /// Min-heap event queue with deterministic same-time ordering (by insertion
 /// sequence number).
 class EventQueue {
  public:
   using Action = InlineAction<40>;
-  /// Body of a span timer: runs the tick at span.now() and, through
-  /// span.advance(), any further ticks of the run (see TimerSpan).
-  using SpanAction = InlineAction<40, TimerSpan&>;
 
   /// Current simulated time.
   [[nodiscard]] Seconds now() const { return now_; }
@@ -208,17 +204,27 @@ class EventQueue {
   /// counts in pending_count()) until cancelled; fired() is never true.
   EventHandle schedule_every(Seconds first, Seconds period, Action action);
 
-  /// A span timer: the same ticks, keys and handle as schedule_every(), but
-  /// one dispatch may fire a run of them.  When the timer is due, `body`
-  /// gets a TimerSpan for the tick at now() and may take each following
-  /// tick with span.advance() for as long as that tick would still fire
-  /// before anything else: before the first foreign event in (when, seq)
-  /// order — the heap top or another lane timer — and within the
-  /// run_until() limit.  The body must return instead of advancing once a
-  /// tick schedules or cancels an event, since that can move the bound.
-  /// Every logical tick still counts in fired_count(); the dispatch counts
-  /// once in timer_bodies_run().
-  EventHandle schedule_every(Seconds first, Seconds period, SpanAction body);
+  /// From inside a recurring timer's action: move the timer to its next
+  /// tick and return true, if that tick would fire next anyway — before the
+  /// first foreign event in (when, seq) order (the heap top or another lane
+  /// timer) and within the run_until() limit.  It leaves exactly what the
+  /// queue's own re-key and dispatch would: the instant fire time + period,
+  /// one sequence number drawn after the tick, one more fired_count(), and
+  /// the clock at the new instant.  The bound is taken on the first call of
+  /// a dispatch, so the action must return instead of advancing once a
+  /// tick has scheduled or cancelled an event.  False, changing nothing, at
+  /// the bound or outside a timer's action.
+  GG_HOT bool advance_current_timer() {
+    if (firing_ == nullptr) return false;
+    if (!span_bounded_) bound_span();
+    const Seconds next = firing_->when + firing_->period;
+    if (!(next <= span_last_)) return false;
+    firing_->when = next;
+    firing_->seq = next_seq_++;
+    ++fired_;
+    now_ = next;
+    return true;
+  }
 
   /// Run events with timestamp <= `until`, then advance the clock to `until`.
   void run_until(Seconds until);
@@ -228,9 +234,9 @@ class EventQueue {
   void run_until_empty();
 
   /// Fire the next event if any is pending; returns false if none.  That
-  /// is one heap event or one timer body — for a span timer, the run of
-  /// ticks its body takes before the first foreign event (one tick when
-  /// no foreign event is pending).
+  /// is one heap event or one timer action — with the further ticks that
+  /// action takes through advance_current_timer() (none when no foreign
+  /// event is pending).
   bool step();
 
   [[nodiscard]] bool empty() const;
@@ -244,11 +250,11 @@ class EventQueue {
   [[nodiscard]] std::size_t queued_count() const { return heap_.size(); }
 
   /// Total events fired, every timer tick included — the logical count,
-  /// the same whether a span timer's ticks ran one per dispatch or many.
+  /// the same whether a timer's ticks ran one per dispatch or many.
   [[nodiscard]] std::uint64_t fired_count() const { return fired_; }
-  /// Timer bodies the lane has dispatched: one per tick of a plain timer,
-  /// one per run of ticks of a span timer.  Counted since construction;
-  /// not part of save()/load().
+  /// Timer actions the lane has dispatched: one per tick, less the ticks
+  /// taken by advance_current_timer().  Counted since construction; not
+  /// part of save()/load().
   [[nodiscard]] std::uint64_t timer_bodies_run() const { return timer_bodies_; }
   /// Times the heap was rebuilt to shed cancelled entries.
   [[nodiscard]] std::uint64_t compaction_count() const { return compactions_; }
@@ -274,16 +280,12 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
-  friend class TimerSpan;
-
   /// A recurring timer: keyed like an Entry, re-keyed in place per tick.
   struct Timer {
     Seconds when;
     std::uint64_t seq;
     Seconds period;
-    /// Exactly one of `action` (plain timer) and `span` (span timer) is set.
     Action action;
-    SpanAction span;
     /// Slab slot of the handle; kNone while the lane entry is free.
     std::uint32_t slot;
     /// Set while the action runs: the entry is neither due nor reusable.
@@ -310,13 +312,13 @@ class EventQueue {
   /// retires cancelled timers on the way.  Null if none.
   Timer* next_timer();
   void retire_timer(Timer& t);
-  EventHandle add_timer(Seconds first, Seconds period, Action action, SpanAction span);
-  /// step() with the run_until() limit a span timer's run must respect.
+  /// step() with the run_until() limit a run of ticks must respect.
   bool dispatch(Seconds limit);
   void fire_timer(Timer& t, Seconds limit);
-  /// Latest instant at which a further tick of `t` (now due) still fires
-  /// before every foreign event and within `limit`.
-  Seconds span_last_instant(const Timer& t, Seconds limit) const;
+  /// Set span_last_: the latest instant at which a further tick of the
+  /// firing timer still fires before every foreign event and within
+  /// span_limit_.
+  void bound_span();
 
   mutable std::vector<Entry> heap_;  // binary heap ordered by Later
   /// Recurring-timer lane.  A deque so adding a timer from inside a running
@@ -336,39 +338,12 @@ class EventQueue {
   std::uint64_t fired_{0};
   std::uint64_t timer_bodies_{0};
   mutable std::uint64_t compactions_{0};
-};
-
-/// One dispatch of a span timer.  now() is the tick being fired; advance()
-/// takes the next tick if it falls inside the span, leaving behind exactly
-/// what the queue's own re-key would: the instant fire time + period, one
-/// sequence number drawn after the tick, one more fired_count(), and the
-/// clock at the new instant.  A foreign event keyed at the very instant of
-/// a re-keyed tick always fires first, since the tick's fresh sequence
-/// number is the largest yet; so the span runs to the last instant
-/// strictly before the first foreign event.
-class TimerSpan {
- public:
-  [[nodiscard]] Seconds now() const { return timer_->when; }
-
-  /// Move to the next tick; false (nothing changed) at the span's bound.
-  GG_HOT bool advance() {
-    const Seconds next = timer_->when + timer_->period;
-    if (!(next <= last_)) return false;
-    timer_->when = next;
-    timer_->seq = queue_->next_seq_++;
-    ++queue_->fired_;
-    queue_->now_ = next;
-    return true;
-  }
-
- private:
-  friend class EventQueue;
-  TimerSpan(EventQueue& queue, EventQueue::Timer& timer, Seconds last)
-      : queue_(&queue), timer_(&timer), last_(last) {}
-
-  EventQueue* queue_;
-  EventQueue::Timer* timer_;
-  Seconds last_;
+  /// The timer whose action is running (null outside one), its dispatch's
+  /// run_until() limit, and — once bound_span() ran — its span's bound.
+  Timer* firing_{nullptr};
+  Seconds span_limit_{0.0};
+  Seconds span_last_{0.0};
+  bool span_bounded_{false};
 };
 
 }  // namespace gg::sim

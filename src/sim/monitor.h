@@ -125,7 +125,7 @@ class CpuUtilSampler {
   double sample() { return sample(cpu_->counters(), queue_->now()); }
 
   /// sample() over a window ending at `t` whose counters the caller already
-  /// brought up to `t` (see CpuDevice::account(const Rates&)).
+  /// brought up to `t` (see CpuDevice::counters(const Rates&)).
   double sample(const CpuActivityCounters& now, Seconds t) {
     const double dt = (t - last_time_).get();
     double u = 0.0;

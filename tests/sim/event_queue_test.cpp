@@ -577,13 +577,13 @@ TEST(EventQueueTimer, RejectsBadArguments) {
   EXPECT_TRUE(q.empty());
 }
 
-// --- Span timers (schedule_every with a TimerSpan body) --------------------
+// --- Runs of ticks (advance_current_timer) ---------------------------------
 
 /// A seeded schedule of recurring timers whose tick body touches the queue
 /// (schedules a one-shot on some timer's future instant, cancels a timer)
-/// on some ticks and only logs on the rest.  `spans` registers them as span
-/// timers that advance through every tick leaving the queue untouched;
-/// otherwise as plain timers, one tick per dispatch — the oracle.
+/// on some ticks and only logs on the rest.  With `spans` each action
+/// advances through every tick that leaves the queue untouched; otherwise
+/// it runs one tick per dispatch — the oracle.
 struct SpanLog {
   FiringLog firings;
   std::uint64_t bodies{0};
@@ -628,16 +628,11 @@ SpanLog run_span_schedule(std::uint64_t seed, bool spans) {
     return false;
   };
   for (std::size_t k = 0; k < kTimers; ++k) {
-    if (spans) {
-      handles[k] = q.schedule_every(Seconds{firsts[k]}, Seconds{periods[k]},
-                                    [&tick, k](TimerSpan& span) {
-                                      while (!tick(k) && span.advance()) {
-                                      }
-                                    });
-    } else {
-      handles[k] = q.schedule_every(Seconds{firsts[k]}, Seconds{periods[k]},
-                                    [&tick, k] { tick(k); });
-    }
+    handles[k] = q.schedule_every(Seconds{firsts[k]}, Seconds{periods[k]},
+                                  [&tick, &q, spans, k] {
+                                    while (!tick(k) && spans && q.advance_current_timer()) {
+                                    }
+                                  });
   }
   for (int i = 0; i < 40; ++i) {
     one_shot(Seconds{0.125 * static_cast<double>(rng.uniform_int(400))}, 300);
@@ -682,11 +677,10 @@ TEST(EventQueueSpan, MatchesPerTickTimersFiringForFiring) {
 TEST(EventQueueSpan, RunsToTheFirstForeignEventAndCountsOneBody) {
   EventQueue q;
   std::vector<double> ticks;
-  EventHandle h = q.schedule_every(1_s, 1_s, [&](TimerSpan& span) {
+  EventHandle h = q.schedule_every(1_s, 1_s, [&] {
     do {
-      ticks.push_back(span.now().get());
-      EXPECT_EQ(q.now(), span.now());
-    } while (span.advance());
+      ticks.push_back(q.now().get());
+    } while (q.advance_current_timer());
   });
   // A foreign event at exactly 5 s fires before the tick at 5 s: the tick
   // re-keyed there holds the newest sequence number.
@@ -720,16 +714,16 @@ TEST(EventQueueSpan, RunsToTheFirstForeignEventAndCountsOneBody) {
 TEST(EventQueueSpan, AnotherTimerBoundsTheSpan) {
   EventQueue q;
   std::vector<std::pair<double, int>> log;
-  EventHandle a = q.schedule_every(0.25_s, 0.25_s, [&](TimerSpan& span) {
+  EventHandle a = q.schedule_every(0.25_s, 0.25_s, [&] {
     do {
-      log.emplace_back(span.now().get(), 0);
-    } while (span.advance());
+      log.emplace_back(q.now().get(), 0);
+    } while (q.advance_current_timer());
   });
   EventHandle b = q.schedule_every(1_s, 1_s, [&] { log.emplace_back(q.now().get(), 1); });
   q.run_until(2_s);
-  // At 1 s and 2 s the span timer registered first, but its re-keyed ticks
-  // hold newer sequence numbers than the plain timer's: the plain one fires
-  // first, exactly as with per-tick dispatch.
+  // At 1 s and 2 s the advancing timer registered first, but its re-keyed
+  // ticks hold newer sequence numbers than the other timer's: that one
+  // fires first, exactly as with per-tick dispatch.
   const std::vector<std::pair<double, int>> expected = {
       {0.25, 0}, {0.5, 0}, {0.75, 0}, {1.0, 1}, {1.0, 0}, {1.25, 0}, {1.5, 0},
       {1.75, 0}, {2.0, 1}, {2.0, 0}};
@@ -740,12 +734,23 @@ TEST(EventQueueSpan, AnotherTimerBoundsTheSpan) {
   b.cancel();
 }
 
-TEST(EventQueueSpan, RejectsAnEmptyBody) {
+TEST(EventQueueSpan, OnlyARunningTimerActionAdvances) {
   EventQueue q;
-  EXPECT_THROW(q.schedule_every(1_s, 1_s, EventQueue::SpanAction{}),
-               std::invalid_argument);
-  EXPECT_THROW(q.schedule_every(1_s, 0_s, [](TimerSpan&) {}), std::invalid_argument);
-  EXPECT_TRUE(q.empty());
+  int ticks = 0;
+  EventHandle h = q.schedule_every(1_s, 1_s, [&] { ++ticks; });
+  q.schedule_at(Seconds{0.5}, [&] { EXPECT_FALSE(q.advance_current_timer()); });
+  EXPECT_FALSE(q.advance_current_timer());
+  q.run_until(Seconds{0.5});
+  EXPECT_EQ(q.fired_count(), 1u);
+  EXPECT_EQ(q.now(), Seconds{0.5});
+  // After a timer action returned, nothing is current any more.
+  q.run_until(3_s);
+  EXPECT_EQ(ticks, 3);
+  EXPECT_FALSE(q.advance_current_timer());
+  EXPECT_EQ(q.fired_count(), 4u);
+  EXPECT_EQ(q.timer_bodies_run(), 3u);
+  EXPECT_EQ(q.now(), 3_s);
+  h.cancel();
 }
 
 }  // namespace

@@ -107,14 +107,14 @@ REQUIRED_HOT = [
     ("src/sim/event_queue.cpp",
      re.compile(r"void\s+EventQueue::fire_timer\s*\("),
      "EventQueue::fire_timer"),
-    # Span timers: a run of quiescent CPU-governor ticks replays in this
-    # loop, one TimerSpan::advance per tick.
+    # Runs of quiescent CPU-governor ticks: one dispatch, then one
+    # advance_current_timer per further tick.
     ("src/sim/event_queue.h",
-     re.compile(r"bool\s+advance\s*\("),
-     "TimerSpan::advance"),
+     re.compile(r"bool\s+advance_current_timer\s*\("),
+     "EventQueue::advance_current_timer"),
     ("src/greengpu/cpu_governor.cpp",
-     re.compile(r"void\s+CpuGovernor::run_span\s*\("),
-     "CpuGovernor::run_span"),
+     re.compile(r"void\s+CpuGovernor::run_ticks\s*\("),
+     "CpuGovernor::run_ticks"),
     ("src/sim/cpu_device.h",
      re.compile(r"void\s+accrue\s*\("),
      "CpuDevice::accrue"),
